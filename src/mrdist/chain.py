@@ -12,6 +12,7 @@ sources. All returned arrays are marked read-only; every function is pure.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -50,6 +51,32 @@ class StochasticMatrix:
     def n(self) -> int:
         return self.P.shape[0]
 
+    @functools.cached_property
+    def graph_verdict(self) -> tuple[bool, int]:
+        """(strongly connected, period) of the arc graph {(i, j): P[i, j] > 0}.
+
+        Decided as in :func:`check_ergodicity`, once per matrix: ``P`` is
+        read-only and the verdict uses no tolerance.
+        """
+        adj = _successors(self.P)
+        level = _bfs_levels(adj, 0)  # level >= 0 marks a state reached from state 0
+        strongly_connected = bool(
+            (level >= 0).all() and _reachable(_successors(self.P.T), 0).all()
+        )
+        g = 0
+        for i in range(self.n):
+            if level[i] < 0:
+                continue
+            for j in adj[i]:
+                if level[j] >= 0:
+                    g = math.gcd(g, int(level[i]) + 1 - int(level[j]))
+        return strongly_connected, g if g > 0 else 1
+
+    @property
+    def is_ergodic(self) -> bool:
+        strongly_connected, period = self.graph_verdict
+        return strongly_connected and period == 1
+
 
 @dataclass(frozen=True)
 class ErgodicityReport:
@@ -85,6 +112,8 @@ class ChainAnalysis:
         Mean hitting times, H[i, j] = E_i(tau_j), zero diagonal.
     t_av : float
         Kemeny constant / average hitting time.
+    ergodicity : ErgodicityReport
+        Structural verdicts, reversibility judged against ``pi``.
     """
 
     pi: np.ndarray
@@ -93,6 +122,7 @@ class ChainAnalysis:
     D: np.ndarray
     H: np.ndarray
     t_av: float
+    ergodicity: ErgodicityReport
 
 
 def validate(
@@ -173,39 +203,28 @@ def check_ergodicity(chain: StochasticMatrix, *, tol: Tolerances = DEFAULT) -> E
     the arcs {(i, j): P[i, j] > 0}. The period is the gcd of
     level(i) + 1 - level(j) over all arcs (i, j) reachable from state 0,
     with levels taken from a BFS; this is the standard digraph period
-    algorithm and yields an exact integer with no tolerance ambiguity.
+    algorithm and yields an exact integer with no tolerance ambiguity. This
+    graph verdict is cached on the matrix as ``chain.graph_verdict``.
     """
+    pi = _stationary_solve(chain.P, tol) if chain.is_ergodic else None
+    return _ergodicity_report(chain, pi, tol)
+
+
+def _ergodicity_report(
+    chain: StochasticMatrix, pi: np.ndarray | None, tol: Tolerances
+) -> ErgodicityReport:
+    # reversibility is judged against pi, which only an ergodic chain has
     P = chain.P
-    n = chain.n
-    adj = _successors(P)
-    radj = _successors(P.T)
-    strongly_connected = bool(_reachable(adj, 0).all() and _reachable(radj, 0).all())
-
-    level = _bfs_levels(adj, 0)
-    g = 0
-    for i in range(n):
-        if level[i] < 0:
-            continue
-        for j in adj[i]:
-            if level[j] >= 0:
-                g = math.gcd(g, int(level[i]) + 1 - int(level[j]))
-    period = g if g > 0 else 1
-
-    is_ergodic = strongly_connected and period == 1
-    col_dev = np.abs(P.sum(axis=0) - 1.0).max()
-    is_doubly_stochastic = bool(col_dev < tol.stochastic_check)
-
+    strongly_connected, period = chain.graph_verdict
     is_reversible: bool | None = None
-    if is_ergodic:
-        pi = _stationary_solve(P, tol)
+    if pi is not None:
         flow = pi[:, None] * P
         is_reversible = bool(np.abs(flow - flow.T).max() < tol.stochastic_check)
-
     return ErgodicityReport(
         strongly_connected=strongly_connected,
-        period=int(period),
-        is_ergodic=is_ergodic,
-        is_doubly_stochastic=is_doubly_stochastic,
+        period=period,
+        is_ergodic=chain.is_ergodic,
+        is_doubly_stochastic=bool(np.abs(P.sum(axis=0) - 1.0).max() < tol.stochastic_check),
         is_reversible=is_reversible,
     )
 
@@ -222,7 +241,7 @@ def _stationary_solve(P: np.ndarray, tol: Tolerances) -> np.ndarray:
 
 def stationary(chain: StochasticMatrix, *, tol: Tolerances = DEFAULT) -> np.ndarray:
     """Stationary distribution of an ergodic chain via a direct linear solve."""
-    if not check_ergodicity(chain, tol=tol).is_ergodic:
+    if not chain.is_ergodic:
         raise NotErgodicError("stationary distribution requires an ergodic chain")
     return _freeze(_stationary_solve(chain.P, tol))
 
@@ -278,7 +297,7 @@ def hitting_times_oracle(chain: StochasticMatrix, *, tol: Tolerances = DEFAULT) 
     where P_{-j} deletes row and column j. Used as a cross-validation oracle
     for :func:`hitting_times`.
     """
-    if not check_ergodicity(chain, tol=tol).is_ergodic:
+    if not chain.is_ergodic:
         raise NotErgodicError("hitting times require an ergodic chain")
     P = chain.P
     n = chain.n
@@ -332,8 +351,9 @@ def eigentime_constant(eigs: np.ndarray, *, tol: Tolerances = DEFAULT) -> float:
 
 
 def analyze(chain: StochasticMatrix, *, tol: Tolerances = DEFAULT) -> ChainAnalysis:
-    """Compute pi, Pi, F, D, H and the Kemeny constant for an ergodic chain."""
-    if not check_ergodicity(chain, tol=tol).is_ergodic:
+    """Compute pi, Pi, F, D, H, the Kemeny constant and the ergodicity report
+    of an ergodic chain."""
+    if not chain.is_ergodic:
         raise NotErgodicError("analysis requires an ergodic chain")
     pi = _freeze(_stationary_solve(chain.P, tol))
     Pi = pi_matrix(pi)
@@ -341,7 +361,8 @@ def analyze(chain: StochasticMatrix, *, tol: Tolerances = DEFAULT) -> ChainAnaly
     D = group_inverse(F, Pi)
     H = hitting_times(F, pi)
     t_av = kemeny_constant(H, pi, tol=tol)
-    return ChainAnalysis(pi=pi, Pi=Pi, F=F, D=D, H=H, t_av=t_av)
+    erg = _ergodicity_report(chain, pi, tol)
+    return ChainAnalysis(pi=pi, Pi=Pi, F=F, D=D, H=H, t_av=t_av, ergodicity=erg)
 
 
 def generate_random_chain(

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import StochasticMatrix, check_ergodicity
+from .chain import StochasticMatrix
 from .errors import NotErgodicError, TooLargeError
 from .resistance import ResistanceMatrix, resistance_matrix
 from .tolerances import DEFAULT, Tolerances
@@ -72,7 +72,7 @@ def enumerate_forests(
     n = chain.n
     if n > max_n:
         raise TooLargeError(f"enumeration capped at n <= {max_n}, got {n}")
-    if not check_ergodicity(chain, tol=tol).is_ergodic:
+    if not chain.is_ergodic:
         raise NotErgodicError("forest weights are defined here for ergodic chains")
 
     P = chain.P

@@ -90,18 +90,20 @@ def resistance_matrix(omega: np.ndarray, method: str) -> ResistanceMatrix:
     return ResistanceMatrix(omega=w, method=method)
 
 
+def _omega_from_inverse(A: np.ndarray, method: str) -> ResistanceMatrix:
+    A = np.asarray(A, dtype=float)
+    d = np.diag(A)
+    return resistance_matrix(d[:, None] + d[None, :] - A - A.T, method)
+
+
 def omega_from_fundamental(F: np.ndarray) -> ResistanceMatrix:
     """Omega[i, j] = F[i, i] + F[j, j] - F[i, j] - F[j, i]."""
-    F = np.asarray(F, dtype=float)
-    d = np.diag(F)
-    return resistance_matrix(d[:, None] + d[None, :] - F - F.T, "fundamental")
+    return _omega_from_inverse(F, "fundamental")
 
 
 def omega_from_group_inverse(D: np.ndarray) -> ResistanceMatrix:
     """Same combination applied to the group inverse; equals the F form."""
-    D = np.asarray(D, dtype=float)
-    d = np.diag(D)
-    return resistance_matrix(d[:, None] + d[None, :] - D - D.T, "group_inverse")
+    return _omega_from_inverse(D, "group_inverse")
 
 
 def omega_from_hitting(H: np.ndarray, pi: np.ndarray) -> ResistanceMatrix:

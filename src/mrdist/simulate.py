@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import StochasticMatrix, check_ergodicity
+from .chain import StochasticMatrix
 from .errors import MaxStepsExceededError, NotErgodicError
 from .tolerances import DEFAULT, Tolerances
 
@@ -83,7 +83,7 @@ def simulate_hitting(
     """
     start = _check_state(chain, start, "start")
     target = _check_state(chain, target, "target")
-    if not check_ergodicity(chain, tol=tol).is_ergodic:
+    if not chain.is_ergodic:
         raise NotErgodicError("simulation requires an ergodic chain")
     if start == target:
         return HittingEstimate(0.0, 0.0, cfg.replicas)

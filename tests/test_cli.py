@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from mrdist import cli
+from mrdist import chain, cli
 from mrdist.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK
 
 from conftest import CE_PI
@@ -103,17 +103,33 @@ class TestAnalyze:
             assert set(check) == {"lhs", "rhs", "abs_err", "tolerance", "pass"}
 
     def test_tolerance_override_forces_failure(self, capsys, ce_file):
-        # a negative tolerance can never be met, forcing the failure path
+        # a zero band cannot hold a Monte Carlo estimate, forcing the failure path
         code, rep = run_json(
-            capsys, "analyze", ce_file, "--tolerance", "representation_agreement=-1"
+            capsys, "analyze", ce_file, "--simulate", "--pairs", "1,3",
+            "--replicas", "500", "--tolerance", "sigma_band=0",
         )
         assert code == EXIT_CHECK_FAILED
         assert rep["pass"] is False
-        assert rep["checks"]["representation_group_inverse"]["pass"] is False
+        assert all(check["pass"] for check in rep["checks"].values())
+        assert rep["simulation"]["pairs"][0]["check"]["pass"] is False
 
-    def test_unknown_tolerance_rejected(self, capsys, ce_file):
-        code = cli.main(["analyze", ce_file, "--tolerance", "nope=1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(("analyze", "--tolerance", "nope=1"), id="unknown_name"),
+            pytest.param(("analyze", "--tolerance", "row_sum_reject=nan"), id="nan"),
+            pytest.param(
+                ("analyze", "--tolerance", "representation_agreement=-1"), id="negative"
+            ),
+            pytest.param(("sumrule", "--trials", "-3"), id="negative_trials"),
+        ],
+    )
+    def test_unknown_tolerance_rejected(self, capsys, ce_file, argv):
+        code = cli.main([argv[0], ce_file, *argv[1:]])
+        out, err = capsys.readouterr()
         assert code == EXIT_INPUT_ERROR
+        assert out == ""
+        assert err.startswith("mrdist: error: ")
 
     def test_eigentime_off(self, capsys, ce_file):
         code, rep = run_json(capsys, "analyze", ce_file, "--eigentime", "off")
@@ -309,3 +325,105 @@ class TestUsage:
         doc = json.loads(text)
         assert doc == {"x": 1.0, "y": 0.1, "n": 3, "flag": True}
         assert "1.0" in text  # floats keep a decimal point
+
+
+# ordered check names of each command; a simulated pair counts as one check
+_CORE = [
+    "stationary_residual", "fundamental_residual", "fundamental_row_sums",
+    "group_inverse_row_sums", "group_inverse_axioms", "stationary_projection",
+    "random_target_spread", "hitting_time_oracle", "representation_group_inverse",
+    "representation_hitting_time",
+]
+_KIRCHHOFF = ["kirchhoff_vs_kemeny", "kemeny_vs_eigentime", "kirchhoff_vs_eigentime"]
+_BOUNDS = [
+    "multiplicative_kirchhoff", "additive_lower_bound", "additive_upper_bound",
+    "sum_rule_stationary_pair",
+]
+_FOSTER = ["foster_trace_m1", "foster_trace_m2", "foster_trace_m3"]
+_FOREST = ["forest_stationary", "forest_hitting", "forest_omega"]
+_COUNTEREXAMPLE = [
+    "pi_middle_state", "omega_endpoints", "omega_via_middle", "triangle_violation_margin",
+]
+_POWER_PAIRS = [f"canonical_power_pair_m{m}" for m in (1, 2, 3)]
+
+
+@pytest.mark.parametrize(
+    "argv, checks, skipped",
+    [
+        pytest.param(
+            ("counterexample",),
+            _CORE + _KIRCHHOFF + _BOUNDS + _FOSTER + _FOREST + _COUNTEREXAMPLE, [],
+            id="counterexample",
+        ),
+        pytest.param(
+            ("analyze", "ergodic:3"), _CORE + _KIRCHHOFF + _BOUNDS + _FOREST, ["foster"],
+            id="analyze_ergodic",
+        ),
+        pytest.param(
+            ("analyze", "reversible:3"), _CORE + _KIRCHHOFF + _BOUNDS + _FOSTER + _FOREST, [],
+            id="analyze_reversible",
+        ),
+        pytest.param(
+            ("analyze", "doubly_stochastic:3"),
+            _CORE + ["representation_commute_scaled", "triangle_inequality"]
+            + _KIRCHHOFF + _BOUNDS + _FOREST,
+            ["foster"],
+            id="analyze_doubly_stochastic",
+        ),
+        pytest.param(
+            ("analyze", "ergodic:9"), _CORE + _KIRCHHOFF + _BOUNDS, ["foster", "forest"],
+            id="analyze_above_forest_cap",
+        ),
+        pytest.param(
+            ("analyze", "ce", "--eigentime", "off"),
+            _CORE + ["kirchhoff_vs_kemeny"] + _BOUNDS + _FOSTER + _FOREST, [],
+            id="analyze_eigentime_off",
+        ),
+        pytest.param(
+            ("sumrule", "ergodic:4", "--trials", "5"),
+            ["canonical_stationary_pair", "random_pairs_worst"], ["power_pairs"],
+            id="sumrule_ergodic",
+        ),
+        pytest.param(
+            ("sumrule", "reversible:4", "--trials", "5"),
+            ["canonical_stationary_pair"] + _POWER_PAIRS + ["random_pairs_worst"], [],
+            id="sumrule_reversible",
+        ),
+        pytest.param(("forest-verify", "ce"), _FOREST, [], id="forest_verify"),
+        pytest.param(
+            ("simulate", "ce", "--pairs", "1,2", "--replicas", "1000"), ["pair 1,2"], [],
+            id="simulate",
+        ),
+    ],
+)
+def test_check_manifest(capsys, tmp_path, ce_file, argv, checks, skipped):
+    """Each command states the same checks, in the same order, as before."""
+    command, *rest = argv
+    if rest and rest[0] == "ce":
+        rest[0] = ce_file
+    elif rest:
+        kind, n = rest[0].split(":")
+        rest[0] = str(tmp_path / f"{kind}.json")
+        run(capsys, "generate", n, kind, rest[0], "--seed", "0")
+    code, rep = run_json(capsys, command, *rest)
+    names = list(rep.get("checks", {})) + [
+        "pair " + ",".join(row["pair"]) for row in rep.get("simulation", {}).get("pairs", [])
+    ]
+    assert code == EXIT_OK
+    assert names == checks
+    assert list(rep.get("skipped", {})) == skipped
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("analyze",), ("simulate", "--pairs", "all", "--replicas", "1000")],
+    ids=["analyze", "simulate_all_pairs"],
+)
+def test_ergodicity_graph_search_runs_once(capsys, monkeypatch, ce_file, argv):
+    walks = []
+    bfs_levels = chain._bfs_levels
+    monkeypatch.setattr(
+        chain, "_bfs_levels", lambda *args: walks.append(args) or bfs_levels(*args)
+    )
+    assert cli.main([argv[0], ce_file, *argv[1:]]) == EXIT_OK
+    assert len(walks) == 1
