@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Recover pi, hitting times and the resistance matrix from brute-force
-spanning in-forest enumeration, with no linear algebra involved."""
+"""Recover pi, hitting times and the resistance matrix from spanning
+in-forest weights, computed exactly in integer arithmetic by the matrix-tree
+theorem, with no floating point before the final rounding."""
 
 import numpy as np
 
@@ -17,7 +18,7 @@ from mrdist import (
 
 np.set_printoptions(precision=6, suppress=True)
 
-# --- a 2-state chain is small enough to enumerate by hand -----------------
+# --- a 2-state chain is small enough to list its forests by hand ----------
 mat = validate([[0.7, 0.3], [0.4, 0.6]])
 fw = enumerate_forests(mat)
 print("2-state chain, a = 0.3, b = 0.4")
@@ -37,12 +38,14 @@ om_gap = np.abs(
     omega_from_forest(fw).omega - omega_from_fundamental(analysis.F).omega
 ).max()
 
-print("\n6-state random chain, enumeration vs linear algebra:")
+print("\n6-state random chain, forest weights vs floating-point linear algebra:")
 print(f"  stationary distribution gap: {pi_gap:.3e}")
 print(f"  hitting time gap:            {h_gap:.3e}")
 print(f"  resistance gap:              {om_gap:.3e}")
 print(f"  total in-tree weight q:      {fw.q_total:.6f}")
 
-# weight bookkeeping: each state either roots a tree or picks one outgoing
-# arc; acyclic assignments with one root feed q_roots, those with two roots
-# feed f; the ratios then reproduce the chain exactly
+# weight bookkeeping: in a forest each state either roots a tree or picks one
+# outgoing arc, with no cycle; one-root forests feed q_roots and two-root
+# forests feed f. The matrix-tree theorem sums them as determinants and
+# adjugates of the Laplacian with one state removed, which fraction-free
+# elimination evaluates exactly; the ratios then reproduce the chain

@@ -47,6 +47,11 @@ class StochasticMatrix:
     P: np.ndarray
     state_labels: tuple[str, ...] | None = None
 
+    def __post_init__(self) -> None:
+        # graph_verdict is cached, so the caller must not be able to change P
+        if self.P.flags.writeable:
+            object.__setattr__(self, "P", _freeze(self.P.copy()))
+
     @property
     def n(self) -> int:
         return self.P.shape[0]

@@ -781,7 +781,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     common(p)
 
-    p = sub.add_parser("forest-verify", help="check against in-forest enumeration")
+    p = sub.add_parser("forest-verify", help="check against exact in-forest weights")
     p.add_argument("input")
     p.add_argument("--cap", type=int, default=forest.DEFAULT_MAX_STATES)
     common(p)

@@ -41,7 +41,7 @@ class Tolerances:
     eigentime_imag: float = 1e-8
     foster: float = 1e-8
 
-    # forest enumeration cross-checks
+    # forest oracle cross-checks
     forest_pi: float = 1e-10
     forest_hitting: float = 1e-9
     forest_omega: float = 1e-9

@@ -63,6 +63,22 @@ class TestErgodicity:
         assert not rep.is_ergodic
         assert rep.is_reversible is None
 
+    def test_verdict_not_stale_after_caller_writes(self):
+        P = np.array([[0.0, 1.0], [1.0, 0.0]])
+        m = chain.StochasticMatrix(P)
+        assert not m.is_ergodic
+        P[:] = 0.5
+        # m holds its own read-only copy, so the cached verdict still fits it
+        assert np.array_equal(m.P, [[0.0, 1.0], [1.0, 0.0]])
+        assert not m.P.flags.writeable
+        assert not m.is_ergodic
+        with pytest.raises(NotErgodicError):
+            chain.stationary(m)
+
+    def test_frozen_matrix_not_copied(self):
+        mat = chain.validate([[0.5, 0.5], [0.5, 0.5]])
+        assert chain.StochasticMatrix(mat.P).P is mat.P
+
     def test_counterexample(self, ce):
         rep = chain.check_ergodicity(ce.chain)
         assert rep.is_ergodic

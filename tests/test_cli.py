@@ -143,6 +143,16 @@ class TestAnalyze:
         assert "forest" not in rep
         assert "forest" in rep["skipped"]
 
+    def test_dense_eight_state_runs_forest_oracle(self, capsys, tmp_path):
+        # the default forest cap admits n = 8, once a 14 s report
+        path = tmp_path / "d8.json"
+        cli.main(["generate", "8", "ergodic", str(path), "--seed", "0"])
+        capsys.readouterr()
+        code, rep = run_json(capsys, "analyze", str(path))
+        assert code == EXIT_OK
+        assert "forest" in rep
+        assert "forest" not in rep.get("skipped", {})
+
     def test_human_format(self, capsys, ce_file):
         code, out = run(capsys, "analyze", ce_file)
         assert code == EXIT_OK
