@@ -30,8 +30,8 @@ for i in range(mat.n):
         print(f"({i + 1},{j + 1})  {om.omega[i, j]:9.4f}  {est.mean:9.4f}  "
               f"{est.std_error:9.4f}  {z:+6.2f}")
 
-# same seed, same answer: the generator is counter-based, so replica
-# substreams are fixed regardless of scheduling
+# same seed, same answer: each leg draws from its own stream, keyed by
+# (seed, start, target)
 again = estimate_omega(mat, 0, 2, analysis.pi, cfg)
 first = estimate_omega(mat, 0, 2, analysis.pi, cfg)
 print("\nbit-for-bit reproducible:", again == first)

@@ -98,10 +98,7 @@ def save_chain(path: str, mat: chain.StochasticMatrix) -> None:
         lines = [",".join(_float17(v) for v in row) for row in mat.P]
         text = "\n".join(lines) + "\n"
     else:
-        labels = list(mat.state_labels) if mat.state_labels else [
-            str(i + 1) for i in range(mat.n)
-        ]
-        text = dumps_json({"states": labels, "P": mat.P}) + "\n"
+        text = dumps_json({"states": _labels(mat), "P": mat.P}) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
@@ -410,7 +407,7 @@ def analyze_report(
         kirch.kirchhoff, 2.0 * n * analysis.t_av, tol.kirchhoff
     )
     if eigentime:
-        eigs = linalg.eigenvalues(P, tol=tol)
+        eigs = linalg.eigenvalues(P)
         report["eigenvalues"] = [[float(v.real), float(v.imag)] for v in eigs]
         et = chain.eigentime_constant(eigs, tol=tol)
         checks["kemeny_vs_eigentime"] = _check(analysis.t_av, et, tol.eigentime)
@@ -455,7 +452,7 @@ def analyze_report(
     }
 
     if n <= forest_cap:
-        fw = forest.enumerate_forests(mat, max_n=forest_cap, tol=tol)
+        fw = forest.enumerate_forests(mat, max_n=forest_cap)
         report["forest"] = {
             "q_roots": [float(v) for v in fw.q_roots],
             "q_total": fw.q_total,
@@ -490,7 +487,7 @@ def _simulation_section(mat, analysis, om, cfg, pairs, labels, tol) -> dict:
             row["check"] = _check(0.0, 0.0, 0.0)
         else:
             try:
-                est = simulate.estimate_omega(mat, i, j, analysis.pi, cfg, tol=tol)
+                est = simulate.estimate_omega(mat, i, j, analysis.pi, cfg)
             except MaxStepsExceededError as exc:
                 # no estimate; the check fails since Omega[i, j] >= pi[i] + pi[j] > 0
                 row["error"] = str(exc)
@@ -521,7 +518,7 @@ def cmd_analyze(
     forest_cap: int = forest.DEFAULT_MAX_STATES,
     sim_cfg: simulate.SimConfig | None = None,
     pairs_spec: str = "all",
-) -> tuple[dict, int]:
+) -> dict:
     mat = load_chain(path, tol=tol)
     sim_pairs = None
     if sim_cfg is not None and pairs_spec != "all":
@@ -535,7 +532,7 @@ def cmd_analyze(
         sim_pairs=sim_pairs,
     )
     report["input"] = path
-    return report, EXIT_OK if report["pass"] else EXIT_CHECK_FAILED
+    return report
 
 
 def cmd_sumrule(
@@ -544,7 +541,7 @@ def cmd_sumrule(
     seed: int,
     *,
     tol: Tolerances = DEFAULT,
-) -> tuple[dict, int]:
+) -> dict:
     mat, analysis, om = _load_analyzed(path, tol, "sum rules require an ergodic chain")
 
     checks = {"canonical_stationary_pair": _stationary_pair_check(analysis, om, tol)}
@@ -588,7 +585,7 @@ def cmd_sumrule(
         report["skipped"] = skipped
     report["checks"] = checks
     report["pass"] = _all_pass(checks.values()) and all_pass
-    return report, EXIT_OK if report["pass"] else EXIT_CHECK_FAILED
+    return report
 
 
 def cmd_forest_verify(
@@ -596,11 +593,11 @@ def cmd_forest_verify(
     cap: int = forest.DEFAULT_MAX_STATES,
     *,
     tol: Tolerances = DEFAULT,
-) -> tuple[dict, int]:
+) -> dict:
     mat, analysis, om = _load_analyzed(path, tol)
-    fw = forest.enumerate_forests(mat, max_n=cap, tol=tol)
+    fw = forest.enumerate_forests(mat, max_n=cap)
     checks = _forest_checks(fw, analysis, om, tol)
-    report = {
+    return {
         "command": "forest-verify",
         "input": path,
         "n": mat.n,
@@ -610,7 +607,6 @@ def cmd_forest_verify(
         "checks": checks,
         "pass": _all_pass(checks.values()),
     }
-    return report, EXIT_OK if report["pass"] else EXIT_CHECK_FAILED
 
 
 def cmd_simulate(
@@ -619,19 +615,18 @@ def cmd_simulate(
     cfg: simulate.SimConfig,
     *,
     tol: Tolerances = DEFAULT,
-) -> tuple[dict, int]:
+) -> dict:
     mat, analysis, om = _load_analyzed(path, tol)
     labels = _labels(mat)
     pairs = None if pairs_spec == "all" else parse_pairs(pairs_spec, labels)
     section = _simulation_section(mat, analysis, om, cfg, pairs, labels, tol)
-    report = {
+    return {
         "command": "simulate",
         "input": path,
         "n": mat.n,
         "simulation": section,
         "pass": _all_pass(row["check"] for row in section["pairs"]),
     }
-    return report, EXIT_OK if report["pass"] else EXIT_CHECK_FAILED
 
 
 # closed-form values of the built-in counterexample chain, derived by
@@ -642,7 +637,7 @@ _CE_OMEGA_ENDPOINTS = 20.0
 _CE_OMEGA_VIA_MIDDLE = 140.0 / 11.0
 
 
-def cmd_counterexample(*, tol: Tolerances = DEFAULT) -> tuple[dict, int]:
+def cmd_counterexample(*, tol: Tolerances = DEFAULT) -> dict:
     mat = counterexample_chain()
     report = analyze_report(mat, tol=tol)
     report["command"] = "counterexample"
@@ -667,7 +662,7 @@ def cmd_counterexample(*, tol: Tolerances = DEFAULT) -> tuple[dict, int]:
         "worst_triple": report["metric"]["worst_triple"],
     }
     report["pass"] = _all_pass(report["checks"].values()) and triangle_breaks
-    return report, EXIT_OK if report["pass"] else EXIT_CHECK_FAILED
+    return report
 
 
 def cmd_generate(
@@ -677,13 +672,9 @@ def cmd_generate(
     out_path: str,
     *,
     tol: Tolerances = DEFAULT,
-) -> tuple[dict, int]:
-    mat = chain.generate_random_chain(n, kind, seed, tol=tol)
-    labeled = chain.StochasticMatrix(
-        mat.P, tuple(str(i + 1) for i in range(n))
-    )
-    save_chain(out_path, labeled)
-    report = {
+) -> dict:
+    save_chain(out_path, chain.generate_random_chain(n, kind, seed, tol=tol))
+    return {
         "command": "generate",
         "output": out_path,
         "n": n,
@@ -692,7 +683,6 @@ def cmd_generate(
         "format": "csv" if out_path.endswith(".csv") else "json",
         "pass": True,
     }
-    return report, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -839,7 +829,7 @@ def main(argv=None) -> int:
                     replicas=args.replicas,
                     max_steps_per_replica=args.max_steps,
                 )
-            report, code = cmd_analyze(
+            report = cmd_analyze(
                 args.input,
                 tol=tol,
                 eigentime=args.eigentime == "on",
@@ -850,22 +840,20 @@ def main(argv=None) -> int:
         elif args.command == "sumrule":
             if args.trials < 0:
                 raise _UsageError(f"--trials must be non-negative, got {args.trials}")
-            report, code = cmd_sumrule(
-                args.input, args.trials, _resolve_seed(args), tol=tol
-            )
+            report = cmd_sumrule(args.input, args.trials, _resolve_seed(args), tol=tol)
         elif args.command == "forest-verify":
-            report, code = cmd_forest_verify(args.input, args.cap, tol=tol)
+            report = cmd_forest_verify(args.input, args.cap, tol=tol)
         elif args.command == "simulate":
             cfg = simulate.SimConfig(
                 seed=_resolve_seed(args),
                 replicas=args.replicas,
                 max_steps_per_replica=args.max_steps,
             )
-            report, code = cmd_simulate(args.input, args.pairs, cfg, tol=tol)
+            report = cmd_simulate(args.input, args.pairs, cfg, tol=tol)
         elif args.command == "counterexample":
-            report, code = cmd_counterexample(tol=tol)
+            report = cmd_counterexample(tol=tol)
         else:  # generate
-            report, code = cmd_generate(
+            report = cmd_generate(
                 args.n, args.kind, _resolve_seed(args), args.output, tol=tol
             )
     except _UsageError as exc:
@@ -881,7 +869,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT_ERROR
 
     _print_report(report, args.format)
-    return code
+    return EXIT_OK if report["pass"] else EXIT_CHECK_FAILED
 
 
 def _print_report(report: dict, fmt: str) -> None:

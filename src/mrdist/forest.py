@@ -38,7 +38,6 @@ import numpy as np
 from .chain import StochasticMatrix
 from .errors import NotErgodicError, TooLargeError
 from .resistance import ResistanceMatrix, resistance_matrix
-from .tolerances import DEFAULT, Tolerances
 
 DEFAULT_MAX_STATES = 8
 
@@ -64,8 +63,6 @@ class ForestWeights:
 def enumerate_forests(
     chain: StochasticMatrix,
     max_n: int = DEFAULT_MAX_STATES,
-    *,
-    tol: Tolerances = DEFAULT,
 ) -> ForestWeights:
     """Exact weights of all spanning in-forests of G(P) with one or two roots.
 

@@ -94,7 +94,7 @@ def inverse(a, *, tol: Tolerances = DEFAULT) -> np.ndarray:
     return lu_solve(a, np.eye(a.shape[0]), tol=tol)
 
 
-def eigenvalues(a, *, tol: Tolerances = DEFAULT) -> np.ndarray:
+def eigenvalues(a) -> np.ndarray:
     """Full complex spectrum with a deterministic ordering.
 
     Uses LAPACK ``dgeev`` (Hessenberg reduction followed by shifted QR

@@ -1,12 +1,11 @@
 r"""Seeded Monte Carlo trajectory oracle for hitting times and resistance.
 
-Trajectories step by inverse-CDF sampling of precomputed cumulative rows.
-Randomness comes from the counter-based Philox generator: the leg key is
-derived from (seed, start, target) via ``SeedSequence``, and lockstep step t
-of all replicas draws from the counter block t << 128. Replica r therefore
-consumes the fixed substream u(r, t) = block_t[r], so the result is
-bit-for-bit reproducible and independent of how replicas would be
-partitioned across workers.
+Each leg E_start(tau_target) draws from one Philox stream, keyed by
+(seed, start, target) through ``SeedSequence``, so its estimate is
+bit-for-bit reproducible and does not depend on which other legs run.
+Replicas advance in lockstep by inverse-CDF sampling of precomputed
+cumulative rows: each step draws one uniform per replica still running,
+and a replica drops out when it hits the target.
 
 The combined resistance estimator follows the mean-hitting-time form
 
@@ -25,7 +24,6 @@ import numpy as np
 
 from .chain import StochasticMatrix
 from .errors import MaxStepsExceededError, NotErgodicError
-from .tolerances import DEFAULT, Tolerances
 
 MIN_REPLICAS = 100  # below this no statistical assertion is meaningful
 
@@ -71,8 +69,6 @@ def simulate_hitting(
     start: int,
     target: int,
     cfg: SimConfig,
-    *,
-    tol: Tolerances = DEFAULT,
 ) -> HittingEstimate:
     """Estimate E_start(tau_target) from independent replicas.
 
@@ -90,11 +86,11 @@ def simulate_hitting(
 
     cum = np.cumsum(chain.P, axis=1)
     cum[:, -1] = 1.0  # close the rounding gap so u < 1 always lands
-    key = _leg_key(cfg.seed, start, target)
+    rng = np.random.Generator(np.random.Philox(key=_leg_key(cfg.seed, start, target)))
     n_rep = cfg.replicas
-    state = np.full(n_rep, start, dtype=np.int64)
     times = np.zeros(n_rep, dtype=np.int64)
     alive = np.arange(n_rep)
+    state = np.full(n_rep, start, dtype=np.int64)  # state[k] belongs to alive[k]
 
     step = 0
     while alive.size:
@@ -103,15 +99,12 @@ def simulate_hitting(
                 f"{alive.size} replicas still running at the "
                 f"{cfg.max_steps_per_replica}-step cap"
             )
-        block = np.random.Generator(np.random.Philox(key=key, counter=step << 128))
-        u = block.random(n_rep)
-        current = state[alive]
-        nxt = (u[alive][:, None] >= cum[current]).sum(axis=1)
-        state[alive] = nxt
-        hit = nxt == target
-        times[alive[hit]] = step + 1
-        alive = alive[~hit]
+        u = rng.random(alive.size)
+        state = (u[:, None] >= cum[state]).sum(axis=1)
         step += 1
+        hit = state == target
+        times[alive[hit]] = step
+        alive, state = alive[~hit], state[~hit]
 
     mean = float(times.mean())
     std_error = float(times.std(ddof=1) / math.sqrt(n_rep))
@@ -124,8 +117,6 @@ def estimate_omega(
     j: int,
     pi: np.ndarray,
     cfg: SimConfig,
-    *,
-    tol: Tolerances = DEFAULT,
 ) -> HittingEstimate:
     """Estimate Omega[i, j] by combining the two hitting-time legs."""
     i = _check_state(chain, i, "i")
@@ -133,8 +124,8 @@ def estimate_omega(
     if i == j:
         raise ValueError("estimate_omega needs two distinct states")
     pi = np.asarray(pi, dtype=float)
-    leg_ij = simulate_hitting(chain, i, j, cfg, tol=tol)
-    leg_ji = simulate_hitting(chain, j, i, cfg, tol=tol)
+    leg_ij = simulate_hitting(chain, i, j, cfg)
+    leg_ji = simulate_hitting(chain, j, i, cfg)
     mean = pi[j] * leg_ij.mean + pi[i] * leg_ji.mean
     std_error = math.hypot(pi[j] * leg_ij.std_error, pi[i] * leg_ji.std_error)
     return HittingEstimate(float(mean), float(std_error), cfg.replicas)

@@ -2,7 +2,8 @@
 
 Every hard-coded threshold used by the library lives in one frozen record so
 that the CLI, the tests and library callers agree on a single set of
-defaults. Functions take a ``tol`` keyword defaulting to :data:`DEFAULT`.
+defaults. Functions that read a threshold take a ``tol`` keyword
+defaulting to :data:`DEFAULT`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 class Tolerances:
     # dense kernel
     pivot: float = 1e-13             # LU pivot magnitude that declares singularity
-    solve_residual: float = 1e-10    # max |AX - B| / (1 + max |B|)
     unit_eigenvalue: float = 1e-8    # |lambda - 1| for the Perron root
 
     # stochastic matrix validation and structure flags

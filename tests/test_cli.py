@@ -122,6 +122,7 @@ class TestAnalyze:
                 ("analyze", "--tolerance", "representation_agreement=-1"), id="negative"
             ),
             pytest.param(("sumrule", "--trials", "-3"), id="negative_trials"),
+            pytest.param(("analyze", "--tolerance", "solve_residual=1"), id="solve_residual"),
         ],
     )
     def test_unknown_tolerance_rejected(self, capsys, ce_file, argv):

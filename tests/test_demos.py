@@ -1,8 +1,4 @@
-"""The narrative demos run to completion against the current package.
-
-Demo 05 is left out: it repeats the Monte Carlo legs of acceptance
-criterion 10, the slowest test of the suite.
-"""
+"""The narrative demos run to completion against the current package."""
 
 import runpy
 from pathlib import Path
@@ -19,6 +15,7 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
         "02_four_representations.py",
         "03_sum_rules_and_kirchhoff.py",
         "04_forest_oracle.py",
+        "05_monte_carlo.py",
     ],
 )
 def test_demo_runs(name, capsys):

@@ -57,6 +57,22 @@ class TestSimulateHitting:
         with pytest.raises(MaxStepsExceededError):
             simulate.simulate_hitting(ce.chain, 0, 2, cfg)
 
+    # from state 2 the chain moves 2 -> 1 -> 0 surely: tau_0 is exactly 2
+    CAP_CHAIN = [[0.5, 0.25, 0.25], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+
+    def test_step_cap_reached_exactly(self):
+        mat = chain.validate(self.CAP_CHAIN)
+        cfg = simulate.SimConfig(seed=0, replicas=100, max_steps_per_replica=2)
+        est = simulate.simulate_hitting(mat, 2, 0, cfg)
+        assert est.mean == 2.0
+        assert est.std_error == 0.0
+
+    def test_step_cap_one_short(self):
+        mat = chain.validate(self.CAP_CHAIN)
+        cfg = simulate.SimConfig(seed=0, replicas=100, max_steps_per_replica=1)
+        with pytest.raises(MaxStepsExceededError, match="100 replicas still running"):
+            simulate.simulate_hitting(mat, 2, 0, cfg)
+
     def test_requires_ergodic(self):
         swap = chain.validate([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(NotErgodicError):
@@ -81,7 +97,7 @@ class TestEstimateOmega:
         assert abs(est.mean - 2.0) <= 3.0 * est.std_error
 
     def test_argument_order_irrelevant(self, ce):
-        # both legs carry their own substream, so (i, j) and (j, i) agree
+        # each leg draws from its own stream, so (i, j) and (j, i) agree
         pi = chain.stationary(ce.chain)
         cfg = simulate.SimConfig(seed=7, replicas=500)
         assert simulate.estimate_omega(ce.chain, 0, 2, pi, cfg) == simulate.estimate_omega(
