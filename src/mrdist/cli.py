@@ -409,11 +409,22 @@ def analyze_report(
     if eigentime:
         eigs = linalg.eigenvalues(P)
         report["eigenvalues"] = [[float(v.real), float(v.imag)] for v in eigs]
-        et = chain.eigentime_constant(eigs, tol=tol)
-        checks["kemeny_vs_eigentime"] = _check(analysis.t_av, et, tol.eigentime)
-        checks["kirchhoff_vs_eigentime"] = _check(
-            kirch.kirchhoff, 2.0 * n * et, tol.eigentime * 2 * n
-        )
+        try:
+            et = chain.eigentime_constant(eigs, tol=tol)
+        except NotErgodicError:
+            # the graph already proved ergodicity; a nearly decomposable chain
+            # only fails to isolate its Perron root at this tolerance
+            near = int((np.abs(eigs - 1.0) <= tol.unit_eigenvalue).sum())
+            skipped["eigentime"] = (
+                f"{near} eigenvalues lie within unit_eigenvalue = "
+                f"{tol.unit_eigenvalue:g} of 1, so the eigentime sum is undefined; "
+                "the transition graph is ergodic"
+            )
+        else:
+            checks["kemeny_vs_eigentime"] = _check(analysis.t_av, et, tol.eigentime)
+            checks["kirchhoff_vs_eigentime"] = _check(
+                kirch.kirchhoff, 2.0 * n * et, tol.eigentime * 2 * n
+            )
     checks["multiplicative_kirchhoff"] = _check(
         kirch.multiplicative,
         2.0 * float(pi @ np.diag(F) - pi @ pi),

@@ -3,9 +3,13 @@ r"""Seeded Monte Carlo trajectory oracle for hitting times and resistance.
 Each leg E_start(tau_target) draws from one Philox stream, keyed by
 (seed, start, target) through ``SeedSequence``, so its estimate is
 bit-for-bit reproducible and does not depend on which other legs run.
-Replicas advance in lockstep by inverse-CDF sampling of precomputed
-cumulative rows: each step draws one uniform per replica still running,
-and a replica drops out when it hits the target.
+Replicas are independent and identically distributed, so a leg tracks how
+many of them sit in each state, not where each one is: a step moves the
+counts of every occupied state with one multinomial draw, and the count that
+lands on the target is recorded and removed. The per-step hit counts have
+the law of the histogram of the replicas' hitting times, so the mean and
+standard error are those of the per-replica sample, at O(steps * n^2) cost
+whatever the replica count.
 
 The combined resistance estimator follows the mean-hitting-time form
 
@@ -84,31 +88,47 @@ def simulate_hitting(
     if start == target:
         return HittingEstimate(0.0, 0.0, cfg.replicas)
 
-    cum = np.cumsum(chain.P, axis=1)
-    cum[:, -1] = 1.0  # close the rounding gap so u < 1 always lands
-    rng = np.random.Generator(np.random.Philox(key=_leg_key(cfg.seed, start, target)))
+    steps, hits = _first_passage_counts(chain.P, start, target, cfg)
     n_rep = cfg.replicas
-    times = np.zeros(n_rep, dtype=np.int64)
-    alive = np.arange(n_rep)
-    state = np.full(n_rep, start, dtype=np.int64)  # state[k] belongs to alive[k]
+    mean = float(steps @ hits) / n_rep
+    dev = steps - mean
+    std = math.sqrt(float(hits @ (dev * dev)) / (n_rep - 1))
+    return HittingEstimate(mean, std / math.sqrt(n_rep), n_rep)
 
+
+def _first_passage_counts(
+    P: np.ndarray, start: int, target: int, cfg: SimConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """(steps, hits): hits[k] replicas first reach target at step steps[k].
+
+    Only steps with at least one hit are kept, so memory grows with
+    min(steps, replicas), not with the length of the leg.
+    """
+    # Rows are not renormalised: a StochasticMatrix built without validate()
+    # can hold a row whose first n - 1 entries sum above 1 + 1e-12, which
+    # multinomial rejects. So each row's cumulative probabilities are cut at
+    # 1, and multinomial gives the last state whatever rounding gap is left.
+    pvals = np.diff(np.minimum(np.cumsum(P, axis=1), 1.0), axis=1, prepend=0.0)
+    rng = np.random.Generator(np.random.Philox(key=_leg_key(cfg.seed, start, target)))
+    counts = np.zeros(len(P), dtype=np.int64)
+    counts[start] = cfg.replicas
+    occupied = np.array([start])
+    steps, hits = [], []
     step = 0
-    while alive.size:
+    while occupied.size:
         if step >= cfg.max_steps_per_replica:
             raise MaxStepsExceededError(
-                f"{alive.size} replicas still running at the "
+                f"{counts.sum()} replicas still running at the "
                 f"{cfg.max_steps_per_replica}-step cap"
             )
-        u = rng.random(alive.size)
-        state = (u[:, None] >= cum[state]).sum(axis=1)
+        counts = rng.multinomial(counts[occupied], pvals[occupied]).sum(axis=0)
         step += 1
-        hit = state == target
-        times[alive[hit]] = step
-        alive, state = alive[~hit], state[~hit]
-
-    mean = float(times.mean())
-    std_error = float(times.std(ddof=1) / math.sqrt(n_rep))
-    return HittingEstimate(mean, std_error, n_rep)
+        if counts[target]:
+            steps.append(step)
+            hits.append(int(counts[target]))
+            counts[target] = 0
+        occupied = np.flatnonzero(counts)
+    return np.array(steps, dtype=np.int64), np.array(hits, dtype=np.int64)
 
 
 def estimate_omega(

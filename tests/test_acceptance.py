@@ -111,6 +111,7 @@ def test_criterion_03_forest_oracle(criterion):
 
 
 def test_criterion_04_kirchhoff_identity(criterion, chain_pool):
+    start = time.perf_counter()
     worst_kemeny = worst_eigen = 0.0
     for mat, analysis, om in chain_pool:
         n = mat.n
@@ -118,15 +119,18 @@ def test_criterion_04_kirchhoff_identity(criterion, chain_pool):
         worst_kemeny = max(worst_kemeny, abs(total - 2 * n * analysis.t_av))
         et = chain.eigentime_constant(linalg.eigenvalues(mat.P))
         worst_eigen = max(worst_eigen, abs(total - 2 * n * et))
+    elapsed = time.perf_counter() - start
     ok = worst_kemeny < 1e-8 and worst_eigen < 1e-6
     criterion(
         "4 Kirchhoff index identity",
         ok,
-        f"vs_kemeny={worst_kemeny:.2e} vs_eigentime={worst_eigen:.2e}",
+        f"vs_kemeny={worst_kemeny:.2e} vs_eigentime={worst_eigen:.2e} "
+        f"elapsed={elapsed * 1e3:.1f}ms",
     )
 
 
 def test_criterion_05_multiplicative_kirchhoff(criterion, chain_pool):
+    start = time.perf_counter()
     worst = 0.0
     for mat, analysis, om in chain_pool:
         report = resistance.kirchhoff_indices(om, analysis.pi, analysis.t_av)
@@ -134,10 +138,16 @@ def test_criterion_05_multiplicative_kirchhoff(criterion, chain_pool):
             analysis.pi @ np.diag(analysis.F) - analysis.pi @ analysis.pi
         )
         worst = max(worst, abs(report.multiplicative - trace_form))
-    criterion("5 multiplicative Kirchhoff index", worst < 1e-9, f"worst={worst:.2e}")
+    elapsed = time.perf_counter() - start
+    criterion(
+        "5 multiplicative Kirchhoff index",
+        worst < 1e-9,
+        f"worst={worst:.2e} elapsed={elapsed * 1e3:.1f}ms",
+    )
 
 
 def test_criterion_06_additive_kirchhoff_bounds(criterion, chain_pool):
+    start = time.perf_counter()
     worst = 0.0
     for mat, analysis, om in chain_pool:
         report = resistance.kirchhoff_indices(om, analysis.pi, analysis.t_av)
@@ -146,10 +156,16 @@ def test_criterion_06_additive_kirchhoff_bounds(criterion, chain_pool):
             report.additive_lower - report.additive,
             report.additive - report.additive_upper,
         )
-    criterion("6 additive Kirchhoff bounds", worst <= 1e-9, f"worst_excess={worst:.2e}")
+    elapsed = time.perf_counter() - start
+    criterion(
+        "6 additive Kirchhoff bounds",
+        worst <= 1e-9,
+        f"worst_excess={worst:.2e} elapsed={elapsed * 1e3:.1f}ms",
+    )
 
 
 def test_criterion_07_general_sum_rule(criterion, chain_pool):
+    start = time.perf_counter()
     worst_scaled = 0.0
     chains = chain_pool[:20]
     assert len(chains) == 20
@@ -158,15 +174,17 @@ def test_criterion_07_general_sum_rule(criterion, chain_pool):
             pair = resistance.make_sum_rule_pair(mat.n, 10_000 * idx + k)
             lhs, rhs = resistance.sum_rule(pair, om, analysis.F)
             worst_scaled = max(worst_scaled, abs(lhs - rhs) / (1.0 + abs(lhs)))
+    elapsed = time.perf_counter() - start
     ok = worst_scaled <= 1e-8
     criterion(
         "7 general sum rule (200 pairs x 20 chains)",
         ok,
-        f"worst_scaled={worst_scaled:.2e}",
+        f"worst_scaled={worst_scaled:.2e} elapsed={elapsed:.1f}s",
     )
 
 
 def test_criterion_08_foster_analogue(criterion):
+    start = time.perf_counter()
     worst_edge = 0.0
     for i in range(50):
         n = 2 + i % 15
@@ -183,15 +201,17 @@ def test_criterion_08_foster_analogue(criterion):
         for m in (1, 2, 3):
             lhs, rhs = resistance.foster_sum(mat, om, m, analysis)
             worst_trace = max(worst_trace, abs(lhs - rhs))
+    elapsed = time.perf_counter() - start
     ok = worst_edge < 1e-8 and worst_trace < 1e-8
     criterion(
         "8 Foster analogue",
         ok,
-        f"edge_sum={worst_edge:.2e} trace={worst_trace:.2e}",
+        f"edge_sum={worst_edge:.2e} trace={worst_trace:.2e} elapsed={elapsed:.1f}s",
     )
 
 
 def test_criterion_09_triangle_inequality_regime(criterion):
+    start = time.perf_counter()
     violations = 0
     for i in range(200):
         n = 2 + i % 15
@@ -210,12 +230,13 @@ def test_criterion_09_triangle_inequality_regime(criterion):
             w = om.omega
             if w[0, 2] > w[0, 1] + w[1, 2]:
                 violating += 1
+    elapsed = time.perf_counter() - start
     ok = violations == 0 and qualifying >= 1 and violating == qualifying
     criterion(
         "9 triangle inequality regime",
         ok,
         f"ds_violations={violations} bd_qualifying={qualifying} "
-        f"bd_violating={violating}",
+        f"bd_violating={violating} elapsed={elapsed:.1f}s",
     )
 
 
@@ -254,6 +275,7 @@ def test_criterion_10_monte_carlo_oracle(criterion):
 
 
 def test_criterion_11_chain_invariant_suite(criterion, chain_pool):
+    start = time.perf_counter()
     worst_axioms = worst_proj = worst_target = worst_frows = worst_drows = 0.0
     for mat, analysis, _ in chain_pool:
         n = mat.n
@@ -270,6 +292,7 @@ def test_criterion_11_chain_invariant_suite(criterion, chain_pool):
         worst_target = max(worst_target, per_start.max() - per_start.min())
         worst_frows = max(worst_frows, np.abs(analysis.F.sum(axis=1) - 1.0).max())
         worst_drows = max(worst_drows, np.abs(D.sum(axis=1)).max())
+    elapsed = time.perf_counter() - start
     ok = (
         worst_axioms <= 1e-8
         and worst_proj <= 1e-9
@@ -281,5 +304,6 @@ def test_criterion_11_chain_invariant_suite(criterion, chain_pool):
         "11 chain invariant suite",
         ok,
         f"axioms={worst_axioms:.2e} PiF={worst_proj:.2e} target={worst_target:.2e} "
-        f"Frows={worst_frows:.2e} Drows={worst_drows:.2e}",
+        f"Frows={worst_frows:.2e} Drows={worst_drows:.2e} "
+        f"elapsed={elapsed * 1e3:.1f}ms",
     )

@@ -138,6 +138,22 @@ class TestAnalyze:
         assert "eigenvalues" not in rep
         assert "kemeny_vs_eigentime" not in rep["checks"]
 
+    def test_nearly_decomposable_chain_skips_eigentime(self, capsys, tmp_path):
+        # two blocks coupled at 1e-8: graph-ergodic, but two eigenvalues lie
+        # within unit_eigenvalue of 1, so eigentime is skipped, not an input error
+        path = tmp_path / "two_block.csv"
+        path.write_text(
+            "0.5,0.49999999,1e-8,0\n0.5,0.5,0,0\n0,0,0.5,0.5\n1e-8,0,0.5,0.49999999\n"
+        )
+        code, rep = run_json(capsys, "analyze", str(path))
+        assert code != EXIT_INPUT_ERROR
+        assert "error" not in rep
+        assert rep["ergodicity"]["strongly_connected"] is True
+        assert "unit_eigenvalue = 1e-08" in rep["skipped"]["eigentime"]
+        assert len(rep["eigenvalues"]) == 4
+        assert "kemeny_vs_eigentime" not in rep["checks"]
+        assert "kirchhoff_vs_eigentime" not in rep["checks"]
+
     def test_forest_cap_skip(self, capsys, ce_file):
         code, rep = run_json(capsys, "analyze", ce_file, "--forest-cap", "2")
         assert code == EXIT_OK

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from scipy import stats
 
-from mrdist import chain, simulate
+from mrdist import chain, cli, simulate
 from mrdist.errors import MaxStepsExceededError, NotErgodicError
 
 
@@ -73,6 +74,24 @@ class TestSimulateHitting:
         with pytest.raises(MaxStepsExceededError, match="100 replicas still running"):
             simulate.simulate_hitting(mat, 2, 0, cfg)
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # row 0's first two entries sum past 1 + 1e-12, which multinomial
+            # rejects; the cut at 1 leaves 0 -> 2 at zero
+            [[0.5, 0.5 + 1e-9, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]],
+            # row 1 falls 1e-9 short of 1, and the last state takes the gap
+            [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5 - 1e-9], [0.5, 0.0, 0.5]],
+        ],
+        ids=["past_one", "short_of_one"],
+    )
+    def test_unnormalised_rows_simulate(self, rows):
+        # built without validate(), so no row is renormalised; read as
+        # (1/2, 1/2, 0), (0, 1/2, 1/2), (1/2, 0, 1/2) the chain has E_0(tau_2) = 4
+        mat = chain.StochasticMatrix(np.array(rows))
+        est = simulate.simulate_hitting(mat, 0, 2, simulate.SimConfig(seed=3, replicas=20_000))
+        assert abs(est.mean - 4.0) <= 4.0 * est.std_error
+
     def test_requires_ergodic(self):
         swap = chain.validate([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(NotErgodicError):
@@ -81,6 +100,50 @@ class TestSimulateHitting:
     def test_state_bounds(self, ce):
         with pytest.raises(ValueError):
             simulate.simulate_hitting(ce.chain, 0, 3, simulate.SimConfig(seed=0, replicas=100))
+
+
+class TestFirstPassageLaw:
+    """The counterexample leg 1 -> 3 at 10^6 replicas against its exact law."""
+
+    START, TARGET, REPLICAS = 0, 2, 1_000_000
+
+    @pytest.fixture(scope="class")
+    def leg(self):
+        mat = cli.counterexample_chain()
+        cfg = simulate.SimConfig(seed=20_260_808, replicas=self.REPLICAS)
+        steps, hits = simulate._first_passage_counts(mat.P, self.START, self.TARGET, cfg)
+        return mat, cfg, steps, hits
+
+    def test_hit_counts_follow_first_passage_pmf(self, leg):
+        mat, _, steps, sparse_hits = leg
+        hits = np.zeros(steps[-1], dtype=np.int64)
+        hits[steps - 1] = sparse_hits
+        keep = [s for s in range(mat.n) if s != self.TARGET]
+        Q = mat.P[np.ix_(keep, keep)]
+        # pmf[t - 1] = P(tau = t) = (Q^{t-1} r)[start]
+        v = mat.P[keep, self.TARGET]
+        pmf = np.empty(hits.size)
+        for t in range(hits.size):
+            pmf[t] = v[keep.index(self.START)]
+            v = Q @ v
+        expected = self.REPLICAS * pmf
+        binned = expected >= 5.0
+        rest_obs = self.REPLICAS - hits[binned].sum()
+        rest_exp = self.REPLICAS - expected[binned].sum()
+        chi_sq = float(((hits[binned] - expected[binned]) ** 2 / expected[binned]).sum())
+        chi_sq += (rest_obs - rest_exp) ** 2 / rest_exp
+        dof = int(binned.sum())  # binned bins plus the pooled rest, less one
+        assert chi_sq < stats.chi2.ppf(0.999, dof)
+
+    def test_estimate_matches_expanded_sample(self, leg):
+        mat, cfg, steps, hits = leg
+        est = simulate.simulate_hitting(mat, self.START, self.TARGET, cfg)
+        sample = np.repeat(steps, hits)
+        assert sample.size == self.REPLICAS
+        np.testing.assert_array_max_ulp(est.mean, sample.mean(), maxulp=4)
+        np.testing.assert_array_max_ulp(
+            est.std_error, sample.std(ddof=1) / np.sqrt(self.REPLICAS), maxulp=4
+        )
 
 
 class TestEstimateOmega:
