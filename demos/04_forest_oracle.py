@@ -46,6 +46,6 @@ print(f"  total in-tree weight q:      {fw.q_total:.6f}")
 
 # weight bookkeeping: in a forest each state either roots a tree or picks one
 # outgoing arc, with no cycle; one-root forests feed q_roots and two-root
-# forests feed f. The matrix-tree theorem sums them as determinants and
-# adjugates of the Laplacian with one state removed, which fraction-free
+# forests feed f. The matrix-tree theorem sums them all in the adjugate of
+# one Laplacian bordered in its last column, which fraction-free
 # elimination evaluates exactly; the ratios then reproduce the chain

@@ -70,6 +70,12 @@ def load_chain(path: str, *, tol: Tolerances = DEFAULT) -> chain.StochasticMatri
             raise ParseError(f'{path}: expected an object with a "P" key')
         rows = doc["P"]
         labels = doc.get("states")
+        if labels is not None and not (
+            isinstance(labels, list)
+            and all(type(s) in (str, int, float) for s in labels)
+            and len(set(map(str, labels))) == len(labels)
+        ):
+            raise ParseError(f'{path}: "states" must be an array of distinct strings or numbers')
     else:
         rows = []
         for lineno, line in enumerate(text.splitlines(), start=1):

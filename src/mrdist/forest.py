@@ -12,21 +12,22 @@ recover the chain exactly:
 
 and the resistance distance as (f[i, j] + f[j, i]) / q_total.
 
-The weights come from the all-minors matrix-tree theorem (Chaiken 1982).
-With L = diag(off-diagonal row mass) - (off-diagonal part of P) and L_{-j}
-the matrix L without row and column j,
+The weights come from the all-minors matrix-tree theorem (Chaiken 1982),
+read off one matrix for every root. With L = diag(off-diagonal row mass) -
+(off-diagonal part of P), adj(L) = 1 q^T (Markov chain tree theorem), and
+N = L + 1 e_n^T differs from L only in its last column, so the last row of
+adj(N) is q and det(N) = q_total (matrix determinant lemma). N^{-1} is
+Hunter's (1982) generalized inverse G of I - P, so his mean first-passage
+formula E_i(tau_j) = (G[j, j] - G[i, j]) / pi[j] reads
+f[i, j] = adj(N)[j, j] - adj(N)[i, j].
 
-    q_j = det(L_{-j}),    f[:, j] = adj(L_{-j}) 1   (rows other than j).
-
-Every float of P is an integer over a power of two, so the off-diagonal
-arcs are scaled to integers over one common power of two and both formulas
-are evaluated in Python integers by fraction-free (Bareiss 1968)
-elimination, whose divisions are all exact. No floating-point arithmetic
-happens until each weight is rounded once to the nearest float. L_{-j} of
-an ergodic chain is a nonsingular M-matrix, so its leading principal minors
-(the elimination's pivots) are positive and no pivoting is needed. The cost
-is O(n^4) integer operations; the cap of n <= 8 keeps the default
-``analyze`` report cheap and can be raised by the caller.
+Every float of P is an integer over a power of two, so the arcs are scaled
+to integers over one common power of two and adj(N) is found in Python
+integers by one fraction-free Gauss-Jordan elimination, whose divisions are
+all exact; each weight is then rounded once to the nearest float. The cost
+is O(n^3) integer operations. The default cap n <= 8 is not a cost limit:
+it fixes which ``analyze`` reports carry a forest section, and so which
+benchmark workloads call the oracle. Callers can raise it.
 """
 
 from __future__ import annotations
@@ -86,52 +87,48 @@ def enumerate_forests(
     ]
     den = max(d for row in ratios for _, d in row)
     A = [[num * (den // d) for num, d in row] for row in ratios]
-    L = [[sum(row) if k == i else -a for k, a in enumerate(row)] for i, row in enumerate(A)]
+    N = [[sum(row) if k == i else -a for k, a in enumerate(row)] for i, row in enumerate(A)]
+    for row in N:  # the border 1 e_n^T, in units of 1 / den
+        row[-1] += den
+    adj = _adjugate(N)
 
-    q_scale = den ** (n - 1)       # a tree has n - 1 arcs
-    f_scale = den ** max(n - 2, 0)  # a 2-tree forest has n - 2
-    q_exact = []
-    f_rows = [[0.0] * n for _ in range(n)]
-    for j in range(n):
-        others = [s for s in range(n) if s != j]
-        det, adj_sum = _det_and_adjugate_sum([[L[r][c] for c in others] for r in others])
-        q_exact.append(det)
-        for i, y in zip(others, adj_sum):
-            f_rows[i][j] = y / f_scale
-    q_roots = np.array([det / q_scale for det in q_exact])
-    f = np.array(f_rows)
+    # a tree has n - 1 arcs; adj[j][j] - adj[i][j] is a 2-tree weight
+    # (n - 2 arcs) times den
+    scale = den ** (n - 1)
+    q_exact = adj[-1]
+    q_roots = np.array([q / scale for q in q_exact])
+    f = np.array([[(adj[j][j] - a) / scale for j, a in enumerate(row)] for row in adj])
     q_roots.setflags(write=False)
     f.setflags(write=False)
-    return ForestWeights(q_roots=q_roots, q_total=sum(q_exact) / q_scale, f=f)
+    return ForestWeights(q_roots=q_roots, q_total=sum(q_exact) / scale, f=f)
 
 
-def _det_and_adjugate_sum(M: list[list[int]]) -> tuple[int, list[int]]:
-    """det(M) and adj(M) 1 of a nonsingular M-matrix of Python integers.
+def _adjugate(M: list[list[int]]) -> list[list[int]]:
+    """adj(M) of an integer matrix whose leading principal minors are positive.
 
-    Bareiss elimination of [M | 1] without pivoting: after step k, row i > k
-    holds (k + 2)-order minors of M, so each division by the previous pivot
-    is exact. Back-substitution then yields y = det(M) M^{-1} 1, whose
-    entries are integers by Cramer's rule, so its divisions are exact too.
+    Fraction-free (Bareiss) Gauss-Jordan elimination of [M | I] without
+    pivoting. After step k every entry is an integer determinant drawn from
+    [M | I]: below row k, the leading block of order k + 1 bordered by the
+    entry's row and column (Sylvester's identity); in a row i <= k, that
+    block with column i replaced by the entry's column (Cramer's rule). The
+    update forms each one times the previous pivot, so every ``// prev`` is
+    exact, and the right half ends as det(M) M^{-1} = adj(M). The bordered
+    N qualifies: its leading minors of order < n are principal minors of the
+    nonsingular M-matrix L_{-n}, so positive, and det(N) = den q_total > 0.
     """
     m = len(M)
-    rows = [row + [1] for row in M]
+    rows = [row + [int(c == i) for c in range(m)] for i, row in enumerate(M)]
     prev = 1
-    for k in range(m):
-        row_k = rows[k]
+    for k, row_k in enumerate(rows):
         pivot, tail_k = row_k[k], row_k[k + 1:]
-        for row_i in rows[k + 1:]:
-            factor = row_i[k]
-            row_i[k + 1:] = [
-                (pivot * a - factor * b) // prev for a, b in zip(row_i[k + 1:], tail_k)
-            ]
+        for i, row_i in enumerate(rows):
+            if i != k:  # columns up to k are never read again
+                factor = row_i[k]
+                row_i[k + 1:] = [
+                    (pivot * a - factor * b) // prev for a, b in zip(row_i[k + 1:], tail_k)
+                ]
         prev = pivot
-    det = prev
-    y = [0] * m
-    for i in reversed(range(m)):
-        row_i = rows[i]
-        acc = det * row_i[m] - sum(row_i[c] * y[c] for c in range(i + 1, m))
-        y[i] = acc // row_i[i]
-    return det, y
+    return [row[m:] for row in rows]
 
 
 def stationary_from_forest(fw: ForestWeights) -> np.ndarray:

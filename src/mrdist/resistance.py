@@ -258,11 +258,6 @@ def kirchhoff_indices(
     )
 
 
-def _detailed_balance_residual(P: np.ndarray, pi: np.ndarray) -> float:
-    flow = pi[:, None] * P
-    return float(np.abs(flow - flow.T).max())
-
-
 def foster_sum(
     chain: StochasticMatrix,
     omega: ResistanceMatrix,
@@ -279,15 +274,16 @@ def foster_sum(
         lhs = sum_{i,j} pi[j] (P^m)[j, i] Omega[i, j],
         rhs = 2 Tr(diag(pi) sum_{k=0}^{m-1} (P^k - Pi)).
 
-    The summation-order-reversed lhs is also computed and must agree, which
-    is exactly what reversibility guarantees.
+    Detailed balance is the verdict ``analysis.ergodicity.is_reversible``
+    already holds. The summation-order-reversed lhs is also computed and
+    must agree, which is exactly what reversibility guarantees.
     """
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
+    if not analysis.ergodicity.is_reversible:
+        raise NotReversibleError("trace identity requires detailed balance")
     P = chain.P
     pi = analysis.pi
-    if _detailed_balance_residual(P, pi) > tol.stochastic_check:
-        raise NotReversibleError("trace identity requires detailed balance")
     pm = linalg.matrix_power(P, m)
     weighted = pi[:, None] * pm
     lhs = float((weighted.T * omega.omega).sum())

@@ -80,10 +80,25 @@ class TestAnalyze:
 
     def test_malformed_json(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
-        path.write_text("{not json")
+        two = [[0.5, 0.5], [0.5, 0.5]]
+        for text in (
+            "{not json",
+            # labels must be an array, and distinct so --pairs can name them
+            json.dumps({"states": 5, "P": two}),
+            json.dumps({"states": "ab", "P": two}),
+            json.dumps({"states": ["a", "a"], "P": two}),
+        ):
+            path.write_text(text)
+            code, rep = run_json(capsys, "analyze", str(path))
+            assert code == EXIT_INPUT_ERROR
+            assert rep["error"]["type"] == "ParseError"
+
+    def test_json_input_with_numeric_labels(self, capsys, tmp_path):
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps({"states": [3, 7.5], "P": [[0.8, 0.2], [0.4, 0.6]]}))
         code, rep = run_json(capsys, "analyze", str(path))
-        assert code == EXIT_INPUT_ERROR
-        assert rep["error"]["type"] == "ParseError"
+        assert code == EXIT_OK
+        assert rep["states"] == ["3", "7.5"]
 
     def test_missing_file(self, capsys):
         code, rep = run_json(capsys, "analyze", "/nonexistent/chain.csv")

@@ -88,6 +88,65 @@ def assert_matches_brute_force(mat: chain.StochasticMatrix) -> None:
     assert np.array_equal(fw.f, f)
 
 
+def scaled_laplacian(P: np.ndarray) -> tuple[list[list[int]], int]:
+    """L = diag(off-diagonal row mass) - (off-diagonal part of P), times den,
+    the common power-of-two denominator of the off-diagonal entries."""
+    n = P.shape[0]
+    den = max(Fraction(P[i, k]).denominator for i in range(n) for k in range(n) if k != i)
+    A = [[int(Fraction(P[i, k]) * den) if k != i else 0 for k in range(n)] for i in range(n)]
+    L = [[sum(row) if k == i else -a for k, a in enumerate(row)] for i, row in enumerate(A)]
+    return L, den
+
+
+def per_root_elimination(P: np.ndarray) -> tuple[list[int], list[list[int]], int]:
+    """Exact q and f over den**(n - 1) and den**(n - 2), one elimination per root.
+
+    The all-minors matrix-tree theorem root by root: with L_{-j} the scaled
+    Laplacian without row and column j, q_j = det(L_{-j}) and
+    f[:, j] = adj(L_{-j}) 1 (rows other than j). O(n^4); a second exact
+    reference, independent of the bordered-Laplacian identities.
+    """
+    L, den = scaled_laplacian(P)
+    n = len(L)
+    q, f = [], [[0] * n for _ in range(n)]
+    for j in range(n):
+        others = [s for s in range(n) if s != j]
+        det, adj_sum = _det_and_adjugate_sum([[L[r][c] for c in others] for r in others])
+        q.append(det)
+        for i, y in zip(others, adj_sum):
+            f[i][j] = y
+    return q, f, den
+
+
+def _det_and_adjugate_sum(M: list[list[int]]) -> tuple[int, list[int]]:
+    """det(M) and adj(M) 1 of a nonsingular M-matrix of Python integers.
+
+    Bareiss elimination of [M | 1] without pivoting: after step k, row i > k
+    holds (k + 2)-order minors of M, so each division by the previous pivot
+    is exact. Back-substitution then yields y = det(M) M^{-1} 1, whose
+    entries are integers by Cramer's rule, so its divisions are exact too.
+    """
+    m = len(M)
+    rows = [row + [1] for row in M]
+    prev = 1
+    for k in range(m):
+        row_k = rows[k]
+        pivot, tail_k = row_k[k], row_k[k + 1:]
+        for row_i in rows[k + 1:]:
+            factor = row_i[k]
+            row_i[k + 1:] = [
+                (pivot * a - factor * b) // prev for a, b in zip(row_i[k + 1:], tail_k)
+            ]
+        prev = pivot
+    det = prev
+    y = [0] * m
+    for i in reversed(range(m)):
+        row_i = rows[i]
+        acc = det * row_i[m] - sum(row_i[c] * y[c] for c in range(i + 1, m))
+        y[i] = acc // row_i[i]
+    return det, y
+
+
 class TestTwoStateByHand:
     """Only three acyclic assignments exist for two states: {2->1}, {1->2}
     and the empty two-singleton forest."""
@@ -251,3 +310,45 @@ def test_oracle_uses_no_linear_algebra_module():
         elif isinstance(node, ast.Attribute):
             names.append(node.attr)
     assert not [name for name in names if "linalg" in name]
+
+
+LARGE_CHAINS = [
+    (kind, n, seed)
+    for kind in chain.CHAIN_KINDS
+    for n in (7, 9, 12, 16)
+    for seed in (0, 1)
+]
+
+
+@pytest.mark.parametrize("kind,n,seed", LARGE_CHAINS)
+def test_matches_per_root_elimination(kind, n, seed):
+    # both sides round the same exact integer ratios once, so bit for bit
+    mat = chain.generate_random_chain(n, kind, seed)
+    fw = forest.enumerate_forests(mat, max_n=n)
+    q, f, den = per_root_elimination(mat.P)
+    q_scale, f_scale = den ** (n - 1), den ** (n - 2)
+    assert np.array_equal(fw.q_roots, np.array([w / q_scale for w in q]))
+    assert fw.q_total == sum(q) / q_scale
+    assert np.array_equal(fw.f, np.array([[w / f_scale for w in row] for row in f]))
+
+
+@pytest.mark.parametrize("kind,n,seed", LARGE_CHAINS)
+def test_bordered_adjugate_is_exact(kind, n, seed):
+    # N adj(N) = det(N) I holds in integers only if every floor division of
+    # the elimination was exact; det(N) = den q_total by the determinant lemma
+    P = chain.generate_random_chain(n, kind, seed).P
+    L, den = scaled_laplacian(P)
+    N = [row[:-1] + [row[-1] + den] for row in L]
+    adj = forest._adjugate(N)
+    q, _, _ = per_root_elimination(P)
+    det = den * sum(q)
+    product = [[sum(a * b for a, b in zip(row, col)) for col in zip(*adj)] for row in N]
+    assert product == [[det * (i == k) for k in range(n)] for i in range(n)]
+    assert adj[-1] == q
+
+
+def test_single_state():
+    fw = forest.enumerate_forests(chain.validate([[1.0]]))
+    assert fw.q_roots.tolist() == [1.0]
+    assert fw.q_total == 1.0
+    assert fw.f.tolist() == [[0.0]]
