@@ -13,8 +13,6 @@ sources. All returned arrays are marked read-only; every function is pure.
 from __future__ import annotations
 
 import functools
-import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,18 +61,13 @@ class StochasticMatrix:
         Decided as in :func:`check_ergodicity`, once per matrix: ``P`` is
         read-only and the verdict uses no tolerance.
         """
-        adj = _successors(self.P)
-        level = _bfs_levels(adj, 0)  # level >= 0 marks a state reached from state 0
-        strongly_connected = bool(
-            (level >= 0).all() and _reachable(_successors(self.P.T), 0).all()
-        )
-        g = 0
-        for i in range(self.n):
-            if level[i] < 0:
-                continue
-            for j in adj[i]:
-                if level[j] >= 0:
-                    g = math.gcd(g, int(level[i]) + 1 - int(level[j]))
+        arcs = self.P > 0.0
+        level = _bfs_levels(arcs, 0)
+        reached = level >= 0
+        strongly_connected = bool(reached.all() and _reachable(arcs.T, 0).all())
+        # every successor of a reached state is reached
+        i, j = np.nonzero(arcs & reached[:, None])
+        g = int(np.gcd.reduce(level[i] + 1 - level[j]))
         return strongly_connected, g if g > 0 else 1
 
     @property
@@ -170,34 +163,28 @@ def validate(
     return StochasticMatrix(_freeze(arr), labels)
 
 
-def _successors(P: np.ndarray) -> list[np.ndarray]:
-    return [np.nonzero(P[i] > 0.0)[0] for i in range(P.shape[0])]
-
-
-def _reachable(adj: list[np.ndarray], root: int) -> np.ndarray:
-    n = len(adj)
-    seen = np.zeros(n, dtype=bool)
+def _reachable(arcs: np.ndarray, root: int) -> np.ndarray:
+    """States reachable from ``root`` over the boolean arc matrix."""
+    seen = np.zeros(len(arcs), dtype=bool)
     seen[root] = True
-    queue = deque([root])
-    while queue:
-        i = queue.popleft()
-        for j in adj[i]:
-            if not seen[j]:
-                seen[j] = True
-                queue.append(int(j))
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = arcs[frontier].any(axis=0) & ~seen
+        seen |= frontier
     return seen
 
 
-def _bfs_levels(adj: list[np.ndarray], root: int) -> np.ndarray:
-    level = np.full(len(adj), -1, dtype=int)
-    level[root] = 0
-    queue = deque([root])
-    while queue:
-        i = queue.popleft()
-        for j in adj[i]:
-            if level[j] < 0:
-                level[j] = level[i] + 1
-                queue.append(int(j))
+def _bfs_levels(arcs: np.ndarray, root: int) -> np.ndarray:
+    """Breadth-first distance from ``root`` over the boolean arc matrix, one
+    whole level a step; -1 marks a state not reached."""
+    level = np.full(len(arcs), -1, dtype=int)
+    frontier = np.zeros(len(arcs), dtype=bool)
+    frontier[root] = True
+    depth = 0
+    while frontier.any():
+        level[frontier] = depth
+        frontier = arcs[frontier].any(axis=0) & (level < 0)
+        depth += 1
     return level
 
 

@@ -101,7 +101,7 @@ def load_chain(path: str, *, tol: Tolerances = DEFAULT) -> chain.StochasticMatri
 def save_chain(path: str, mat: chain.StochasticMatrix) -> None:
     """Write a chain file, CSV by .csv extension, JSON otherwise."""
     if path.endswith(".csv"):
-        lines = [",".join(_float17(v) for v in row) for row in mat.P]
+        lines = [",".join(_floats17(row)) for row in mat.P.tolist()]
         text = "\n".join(lines) + "\n"
     else:
         text = dumps_json({"states": _labels(mat), "P": mat.P}) + "\n"
@@ -112,11 +112,14 @@ def save_chain(path: str, mat: chain.StochasticMatrix) -> None:
 # ---------------------------------------------------------------------------
 # report serialization
 
+def _floats17(values) -> list[str]:
+    """Each float at 17 significant digits, marked as a float by a '.' or an
+    exponent ("1.0", "-0.0", "1e+16", "inf.0")."""
+    return [s if "." in s or "e" in s else s + ".0" for s in map("%.17g".__mod__, values)]
+
+
 def _float17(x) -> str:
-    s = format(float(x), ".17g")
-    if not any(c in s for c in ".eE"):
-        s += ".0"
-    return s
+    return _floats17((float(x),))[0]
 
 
 def _json_scalar(x) -> str:
@@ -159,6 +162,10 @@ def _emit_json(x, depth: int, pieces: list[str]) -> None:
         seq = list(x)
         if not seq:
             pieces.append("[]")
+            return
+        # a row of floats, such as a matrix row, is formatted in one pass
+        if all(isinstance(v, float) for v in seq):
+            pieces.append("[" + ", ".join(_floats17(seq)) + "]")
             return
         nested = any(isinstance(v, (dict, list, tuple, np.ndarray)) for v in seq)
         if not nested:
@@ -208,9 +215,7 @@ def _emit_human(key, val, depth: int, lines: list[str]) -> None:
         if seq and isinstance(seq[0], (list, tuple, np.ndarray)):
             lines.append(f"{pad}{key}:")
             for row in seq:
-                lines.append(
-                    pad + "  " + "  ".join(f"{float(v):>12.6g}" for v in row)
-                )
+                lines.append(pad + "  " + "  ".join(map("%12.6g".__mod__, row)))
         elif seq and all(isinstance(v, dict) for v in seq):
             lines.append(f"{pad}{key}:")
             for idx, v in enumerate(seq):
@@ -281,7 +286,7 @@ def _forest_checks(fw, analysis: chain.ChainAnalysis, om, tol: Tolerances) -> di
 # the shared analysis pipeline
 
 def _matrix_rows(a: np.ndarray) -> list[list[float]]:
-    return [[float(v) for v in row] for row in np.asarray(a)]
+    return np.asarray(a, dtype=float).tolist()
 
 
 def _labels(mat: chain.StochasticMatrix) -> list[str]:

@@ -1,18 +1,18 @@
 r"""Dense real-matrix kernel for desk-scale problems (n <= 64).
 
 Contract-enforcing wrappers around LAPACK via numpy/scipy: LU solves with
-partial pivoting and an explicit pivot-threshold singularity check, matrix
-inverse, the full complex spectrum (Hessenberg reduction plus shifted QR, as
-implemented by ``dgeev``), integer matrix powers by repeated squaring, and
-the trace. All functions treat their inputs as immutable.
+partial pivoting (``dgetrf``/``dgetrs``, called directly rather than through
+``scipy.linalg``'s warning and array-API wrappers) and an explicit
+pivot-threshold singularity check, matrix inverse, the full complex spectrum
+(Hessenberg reduction plus shifted QR, as implemented by ``dgeev``), integer
+matrix powers by repeated squaring, and the trace. All functions treat their
+inputs as immutable.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .errors import (
     NoConvergenceError,
@@ -75,16 +75,15 @@ def lu_solve(a, b, *, tol: Tolerances = DEFAULT) -> np.ndarray:
         )
     if not np.isfinite(rhs).all():
         raise NonFiniteEntryError("right-hand side contains NaN or Inf")
-    with warnings.catch_warnings():
-        # scipy warns on exact singularity; the pivot check below raises instead
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
+    # dgetrf's info > 0 marks an exactly zero pivot; the pivot check below
+    # raises on it, as on any pivot under tol.pivot
+    lu, piv, _ = dgetrf(a)
     smallest_pivot = np.abs(np.diag(lu)).min()
     if smallest_pivot < tol.pivot:
         raise SingularMatrixError(
             f"pivot magnitude {smallest_pivot:.3e} below threshold {tol.pivot:.1e}"
         )
-    x = scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
+    x, _ = dgetrs(lu, piv, rhs)
     return x if b_arr.ndim == 2 else x[:, 0]
 
 

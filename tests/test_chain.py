@@ -1,3 +1,6 @@
+import math
+from collections import deque
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -101,6 +104,91 @@ class TestErgodicity:
         rep = chain.check_ergodicity(chain.validate(cycle))
         assert rep.strongly_connected
         assert rep.period == 4
+
+
+def reference_graph_verdict(P: np.ndarray) -> tuple[bool, int]:
+    """(strongly connected, period) by a queue BFS over successor lists,
+    one state at a time, with the period as a running ``math.gcd``."""
+    n = P.shape[0]
+
+    def successors(a):
+        return [np.nonzero(a[i] > 0.0)[0] for i in range(n)]
+
+    def levels(adj):
+        level = [-1] * n
+        level[0] = 0
+        queue = deque([0])
+        while queue:
+            i = queue.popleft()
+            for j in adj[i]:
+                if level[j] < 0:
+                    level[j] = level[i] + 1
+                    queue.append(int(j))
+        return level
+
+    adj = successors(P)
+    level = levels(adj)
+    strongly_connected = min(level) >= 0 and min(levels(successors(P.T))) >= 0
+    g = 0
+    for i in range(n):
+        if level[i] < 0:
+            continue
+        for j in adj[i]:
+            if level[j] >= 0:
+                g = math.gcd(g, level[i] + 1 - level[j])
+    return strongly_connected, g if g > 0 else 1
+
+
+def _digraph_chains():
+    """Row-normalised arc matrices: random digraphs of every density, cycles
+    of one and of two lengths through a shared state, bipartite digraphs, and
+    block-triangular digraphs that are not strongly connected."""
+    rng = np.random.default_rng(2024)
+    graphs = []
+    for _ in range(600):
+        n = int(rng.integers(1, 12))
+        graphs.append(rng.random((n, n)) < rng.uniform(0.05, 0.7))
+    for n in range(1, 10):
+        graphs.append(np.roll(np.eye(n, dtype=bool), 1, axis=1))
+    for a, b in [(2, 4), (3, 6), (4, 6), (3, 5), (6, 9), (4, 10)]:
+        n = a + b - 1
+        arcs = np.zeros((n, n), dtype=bool)
+        for cycle in (list(range(a)), [0] + list(range(a, n))):
+            for u, v in zip(cycle, cycle[1:] + cycle[:1]):
+                arcs[u, v] = True
+        perm = rng.permutation(n)
+        graphs.append(arcs[np.ix_(perm, perm)])
+    for _ in range(100):
+        n = int(rng.integers(2, 12))
+        side = rng.random(n) < 0.5
+        arcs = (rng.random((n, n)) < rng.uniform(0.2, 0.9)) & (side[:, None] != side)
+        graphs.append(arcs)
+    for _ in range(100):
+        n = int(rng.integers(2, 12))
+        arcs = rng.random((n, n)) < 0.5
+        cut = int(rng.integers(1, n))
+        arcs[cut:, :cut] = False  # no way back from the upper block
+        perm = rng.permutation(n)
+        graphs.append(arcs[np.ix_(perm, perm)])
+    for arcs in graphs:
+        arcs = arcs.copy()
+        for i in np.flatnonzero(~arcs.any(axis=1)):  # every row needs an arc
+            arcs[i, rng.integers(arcs.shape[0])] = True
+        yield arcs / arcs.sum(axis=1, keepdims=True)
+
+
+def test_graph_verdict_matches_reference_bfs():
+    verdicts = []
+    for P in _digraph_chains():
+        verdict = chain.StochasticMatrix(P).graph_verdict
+        assert verdict == reference_graph_verdict(P), P
+        assert type(verdict[1]) is int
+        verdicts.append(verdict)
+    # the families reach every kind of verdict
+    assert any(sc and period == 1 for sc, period in verdicts)
+    assert any(sc and period > 2 for sc, period in verdicts)
+    assert sum(sc and period == 2 for sc, period in verdicts) >= 20
+    assert sum(not sc for sc, _ in verdicts) >= 100
 
 
 class TestStationary:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from mrdist import chain, linalg
@@ -56,6 +57,28 @@ class TestLuSolve:
         bad[0, 1] = np.nan
         with pytest.raises(NonFiniteEntryError):
             linalg.lu_solve(bad, np.eye(2))
+
+    def test_nonfinite_rhs_rejected(self):
+        with pytest.raises(NonFiniteEntryError):
+            linalg.lu_solve(np.eye(2), [np.nan, 1.0])
+
+    @pytest.mark.filterwarnings("error")
+    def test_exact_singularity_raises_without_warning(self):
+        # the zero pivot stops the solve as SingularMatrixError; no
+        # LinAlgWarning may escape, so this holds under -W error too
+        with pytest.raises(SingularMatrixError):
+            linalg.lu_solve([[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0])
+
+    @pytest.mark.parametrize("n", [1, 3, 8, 31, 63])
+    def test_bit_identical_to_scipy_lu(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((n, n))
+        factors = scipy.linalg.lu_factor(a)
+        for b in (rng.standard_normal(n), rng.standard_normal((n, 5))):
+            x = linalg.lu_solve(a, b)
+            ref = scipy.linalg.lu_solve(factors, b)
+            assert x.shape == ref.shape == b.shape
+            assert x.tobytes() == ref.tobytes()
 
 
 class TestInverse:
