@@ -306,16 +306,15 @@ def kemeny_constant(H: np.ndarray, pi: np.ndarray, *, tol: Tolerances = DEFAULT)
     """Kemeny constant t_av = sum_j pi[j] H[i, j], independent of i.
 
     The i-independence (random target lemma) is asserted before returning;
-    a spread above ``tol.random_target`` raises RandomTargetViolationError.
+    a spread above ``tol.bound(t_av)`` raises RandomTargetViolationError.
     """
     H = np.asarray(H, dtype=float)
     pi = np.asarray(pi, dtype=float)
     per_start = H @ pi
     spread = float(per_start.max() - per_start.min())
-    if spread > tol.random_target:
-        raise RandomTargetViolationError(
-            f"row spread {spread:.3e} exceeds {tol.random_target:.1e}"
-        )
+    bound = tol.bound(per_start[0])
+    if spread > bound:
+        raise RandomTargetViolationError(f"row spread {spread:.3e} exceeds {bound:.1e}")
     return float(per_start[0])
 
 

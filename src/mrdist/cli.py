@@ -251,6 +251,16 @@ def _residual_check(residual: float, tolerance: float) -> dict:
     return _check(residual, 0.0, tolerance)
 
 
+def _identity_check(lhs: float, rhs: float, tol: Tolerances) -> dict:
+    """lhs = rhs, bounded at the size of the larger side."""
+    return _check(lhs, rhs, tol.bound(max(abs(lhs), abs(rhs))))
+
+
+def _agreement_check(value: np.ndarray, reference: np.ndarray, tol: Tolerances) -> dict:
+    """max |value - reference|, bounded at the size of the reference."""
+    return _residual_check(np.abs(value - reference).max(), tol.bound(np.abs(reference).max()))
+
+
 def _all_pass(records) -> bool:
     """Conjunction of the given check records."""
     return all(rec["pass"] for rec in records)
@@ -258,7 +268,7 @@ def _all_pass(records) -> bool:
 
 def _sum_rule_check(pair, om, F, tol: Tolerances) -> dict:
     lhs, rhs = resistance.sum_rule(pair, om, F, tol=tol)
-    return _check(lhs, rhs, tol.sum_rule_relative * (1.0 + abs(lhs)))
+    return _identity_check(lhs, rhs, tol)
 
 
 def _stationary_pair_check(analysis: chain.ChainAnalysis, om, tol: Tolerances) -> dict:
@@ -270,15 +280,9 @@ def _stationary_pair_check(analysis: chain.ChainAnalysis, om, tol: Tolerances) -
 def _forest_checks(fw, analysis: chain.ChainAnalysis, om, tol: Tolerances) -> dict:
     """pi, H and Omega from the forest weights against the F route."""
     return {
-        "forest_stationary": _residual_check(
-            np.abs(forest.stationary_from_forest(fw) - analysis.pi).max(), tol.forest_pi
-        ),
-        "forest_hitting": _residual_check(
-            np.abs(forest.hitting_from_forest(fw) - analysis.H).max(), tol.forest_hitting
-        ),
-        "forest_omega": _residual_check(
-            np.abs(forest.omega_from_forest(fw).omega - om.omega).max(), tol.forest_omega
-        ),
+        "forest_stationary": _agreement_check(forest.stationary_from_forest(fw), analysis.pi, tol),
+        "forest_hitting": _agreement_check(forest.hitting_from_forest(fw), analysis.H, tol),
+        "forest_omega": _agreement_check(forest.omega_from_forest(fw).omega, om.omega, tol),
     }
 
 
@@ -370,53 +374,36 @@ def analyze_report(
     checks: dict[str, dict] = {}
     skipped: dict[str, str] = {}
 
-    checks["stationary_residual"] = _residual_check(
-        np.abs(pi @ P - pi).max(), tol.stationary_residual
-    )
+    t_av, kemeny_sum = analysis.t_av, 2.0 * n * analysis.t_av
+    f_tol, d_tol = tol.bound(np.abs(F).max()), tol.bound(np.abs(D).max())
+    checks["stationary_residual"] = _agreement_check(pi @ P, pi, tol)
     residual_f = np.abs(F @ (np.eye(n) - P + analysis.Pi) - np.eye(n)).max()
-    checks["fundamental_residual"] = _residual_check(
-        residual_f, tol.fundamental_residual
-    )
-    checks["fundamental_row_sums"] = _residual_check(
-        np.abs(F.sum(axis=1) - 1.0).max(), tol.stochastic_check
-    )
-    checks["group_inverse_row_sums"] = _residual_check(
-        np.abs(D.sum(axis=1)).max(), tol.stochastic_check
-    )
+    checks["fundamental_residual"] = _residual_check(residual_f, f_tol)
+    checks["fundamental_row_sums"] = _residual_check(np.abs(F.sum(axis=1) - 1.0).max(), f_tol)
+    checks["group_inverse_row_sums"] = _residual_check(np.abs(D.sum(axis=1)).max(), d_tol)
     ip = np.eye(n) - P
     axioms = max(
         np.abs(ip @ D @ ip - ip).max(),
         np.abs(D @ ip @ D - D).max(),
         np.abs(ip @ D - D @ ip).max(),
     )
-    checks["group_inverse_axioms"] = _residual_check(axioms, tol.group_inverse_axioms)
+    checks["group_inverse_axioms"] = _residual_check(axioms, d_tol)
     checks["stationary_projection"] = _residual_check(
-        np.abs(analysis.Pi @ F - analysis.Pi).max(), tol.stochastic_check
+        np.abs(analysis.Pi @ F - analysis.Pi).max(), f_tol
     )
-    per_start = H @ pi
-    checks["random_target_spread"] = _residual_check(
-        per_start.max() - per_start.min(), tol.random_target
-    )
+    checks["random_target_spread"] = _residual_check(np.ptp(H @ pi), tol.bound(t_av))
     checks["hitting_time_oracle"] = _residual_check(
         np.abs(H - chain.hitting_times_oracle(mat, tol=tol)).max(),
         tol.hitting_agreement,
     )
-    checks["representation_group_inverse"] = _residual_check(
-        np.abs(om_d.omega - om.omega).max(), tol.representation_agreement
-    )
-    checks["representation_hitting_time"] = _residual_check(
-        np.abs(om_h.omega - om.omega).max(), tol.representation_agreement
-    )
+    checks["representation_group_inverse"] = _agreement_check(om_d.omega, om.omega, tol)
+    checks["representation_hitting_time"] = _agreement_check(om_h.omega, om.omega, tol)
     if om_c is not None:
-        checks["representation_commute_scaled"] = _residual_check(
-            np.abs(om_c.omega - om.omega).max(), tol.representation_agreement
-        )
+        checks["representation_commute_scaled"] = _agreement_check(om_c.omega, om.omega, tol)
         checks["triangle_inequality"] = _residual_check(
             max(metric.worst_violation, 0.0), tol.triangle
         )
-    checks["kirchhoff_vs_kemeny"] = _check(
-        kirch.kirchhoff, 2.0 * n * analysis.t_av, tol.kirchhoff
-    )
+    checks["kirchhoff_vs_kemeny"] = _check(kirch.kirchhoff, kemeny_sum, tol.bound(kemeny_sum))
     if eigentime:
         eigs = linalg.eigenvalues(P)
         report["eigenvalues"] = [[float(v.real), float(v.imag)] for v in eigs]
@@ -432,21 +419,19 @@ def analyze_report(
                 "the transition graph is ergodic"
             )
         else:
-            checks["kemeny_vs_eigentime"] = _check(analysis.t_av, et, tol.eigentime)
+            checks["kemeny_vs_eigentime"] = _check(t_av, et, tol.eigentime * max(1.0, t_av))
             checks["kirchhoff_vs_eigentime"] = _check(
-                kirch.kirchhoff, 2.0 * n * et, tol.eigentime * 2 * n
+                kirch.kirchhoff, 2.0 * n * et, tol.eigentime * max(1.0, kemeny_sum)
             )
     checks["multiplicative_kirchhoff"] = _check(
-        kirch.multiplicative,
-        2.0 * float(pi @ np.diag(F) - pi @ pi),
-        tol.multiplicative_kirchhoff,
+        kirch.multiplicative, 2.0 * float(pi @ np.diag(F) - pi @ pi), f_tol
     )
     checks["additive_lower_bound"] = _check(
-        kirch.additive, kirch.additive_lower, tol.additive_slack,
+        kirch.additive, kirch.additive_lower, tol.bound(kirch.additive_lower),
         abs_err=max(0.0, kirch.additive_lower - kirch.additive),
     )
     checks["additive_upper_bound"] = _check(
-        kirch.additive, kirch.additive_upper, tol.additive_slack,
+        kirch.additive, kirch.additive_upper, tol.bound(kirch.additive_upper),
         abs_err=max(0.0, kirch.additive - kirch.additive_upper),
     )
     checks["sum_rule_stationary_pair"] = _stationary_pair_check(analysis, om, tol)
@@ -454,10 +439,11 @@ def analyze_report(
     if erg.is_reversible:
         for m in (1, 2, 3):
             f_lhs, f_rhs = resistance.foster_sum(mat, om, m, analysis, tol=tol)
-            checks[f"foster_trace_m{m}"] = _check(f_lhs, f_rhs, tol.foster)
+            checks[f"foster_trace_m{m}"] = _identity_check(f_lhs, f_rhs, tol)
         if erg.is_doubly_stochastic:
             checks["foster_first_formula"] = _check(
-                resistance.foster_first_formula(mat, om), 2.0 * (n - 1), tol.foster
+                resistance.foster_first_formula(mat, om), 2.0 * (n - 1),
+                tol.bound(2.0 * (n - 1)),
             )
     else:
         skipped["foster"] = "chain is not reversible (detailed balance fails)"
@@ -503,23 +489,18 @@ def _simulation_section(mat, analysis, om, cfg, pairs, labels, tol) -> dict:
     rows = []
     for i, j in pairs:
         row: dict = {"pair": [labels[i], labels[j]]}
-        if i == j:
-            row["estimate"] = 0.0
-            row["std_error"] = 0.0
-            row["check"] = _check(0.0, 0.0, 0.0)
+        try:
+            est = simulate.estimate_omega(mat, i, j, analysis.pi, cfg)
+        except MaxStepsExceededError as exc:
+            # no estimate; the check fails since Omega[i, j] >= pi[i] + pi[j] > 0
+            row["error"] = str(exc)
+            row["check"] = _check(0.0, om.omega[i, j], 0.0)
         else:
-            try:
-                est = simulate.estimate_omega(mat, i, j, analysis.pi, cfg)
-            except MaxStepsExceededError as exc:
-                # no estimate; the check fails since Omega[i, j] >= pi[i] + pi[j] > 0
-                row["error"] = str(exc)
-                row["check"] = _check(0.0, om.omega[i, j], 0.0)
-            else:
-                row["estimate"] = est.mean
-                row["std_error"] = est.std_error
-                row["check"] = _check(
-                    est.mean, float(om.omega[i, j]), tol.sigma_band * est.std_error
-                )
+            row["estimate"] = est.mean
+            row["std_error"] = est.std_error
+            row["check"] = _check(
+                est.mean, float(om.omega[i, j]), tol.sigma_band * est.std_error
+            )
         rows.append(row)
     return {
         "seed": cfg.seed,
@@ -664,7 +645,7 @@ def cmd_counterexample(*, tol: Tolerances = DEFAULT) -> dict:
     report = analyze_report(mat, tol=tol)
     report["command"] = "counterexample"
     om = np.asarray(report["omega"]["fundamental"])
-    value_tol = tol.representation_agreement
+    value_tol = tol.bound(om.max())
     extra = {
         "pi_middle_state": _check(report["pi"][1], _CE_PI_MIDDLE, 1e-12),
         "omega_endpoints": _check(om[0, 2], _CE_OMEGA_ENDPOINTS, value_tol),
@@ -722,9 +703,12 @@ def parse_pairs(spec: str, labels: list[str]) -> list[tuple[int, int]]:
         if len(parts) != 2:
             raise _UsageError(f"bad pair {chunk!r}, expected LABEL,LABEL")
         try:
-            pairs.append((index[parts[0]], index[parts[1]]))
+            pair = (index[parts[0]], index[parts[1]])
         except KeyError as exc:
             raise _UsageError(f"unknown state label {exc.args[0]!r}") from exc
+        if pair[0] == pair[1]:
+            raise _UsageError(f"pair {chunk!r} names one state twice")
+        pairs.append(pair)
     if not pairs:
         raise _UsageError(f"no pairs in {spec!r}")
     return pairs

@@ -139,11 +139,11 @@ def metric_check(omega: ResistanceMatrix, *, tol: Tolerances = DEFAULT) -> Metri
     if n < 3:
         return MetricReport(nonnegative, symmetric, True, None, 0.0)
 
-    # violation[i, k, j] = w[i, j] - w[i, k] - w[k, j]
+    # violation[i, k, j] = w[i, j] - w[i, k] - w[k, j]; triples with a
+    # repeated state are masked out
     viol = w[:, None, :] - w[:, :, None] - w[None, :, :]
-    i_idx, k_idx, j_idx = np.ogrid[:n, :n, :n]
-    degenerate = (i_idx == k_idx) | (k_idx == j_idx) | (i_idx == j_idx)
-    viol = np.where(degenerate, -np.inf, viol)
+    d = np.arange(n)
+    viol[d, d, :] = viol[:, d, d] = viol[d, :, d] = -np.inf
     flat = int(np.argmax(viol))
     worst = float(viol.reshape(-1)[flat])
     i, k, j = np.unravel_index(flat, viol.shape)
@@ -288,7 +288,7 @@ def foster_sum(
     weighted = pi[:, None] * pm
     lhs = float((weighted.T * omega.omega).sum())
     lhs_transposed = float((weighted * omega.omega).sum())
-    if abs(lhs - lhs_transposed) > tol.foster * (1.0 + abs(lhs)):
+    if abs(lhs - lhs_transposed) > tol.bound(lhs):
         raise NotReversibleError(
             f"index-order sums disagree by {abs(lhs - lhs_transposed):.3e}"
         )

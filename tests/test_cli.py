@@ -42,6 +42,13 @@ def walk_checks(node):
             yield from walk_checks(value)
 
 
+_FOLDED_TOLERANCES = [
+    "stationary_residual", "fundamental_residual", "group_inverse_axioms", "random_target",
+    "representation_agreement", "kirchhoff", "multiplicative_kirchhoff", "additive_slack",
+    "foster", "forest_pi", "forest_hitting", "forest_omega", "sum_rule_relative",
+]
+
+
 class TestAnalyze:
     def test_counterexample_file(self, capsys, ce_file):
         code, rep = run_json(capsys, "analyze", ce_file)
@@ -133,9 +140,7 @@ class TestAnalyze:
         [
             pytest.param(("analyze", "--tolerance", "nope=1"), id="unknown_name"),
             pytest.param(("analyze", "--tolerance", "row_sum_reject=nan"), id="nan"),
-            pytest.param(
-                ("analyze", "--tolerance", "representation_agreement=-1"), id="negative"
-            ),
+            pytest.param(("analyze", "--tolerance", "identity_relative=-1"), id="negative"),
             pytest.param(("sumrule", "--trials", "-3"), id="negative_trials"),
             pytest.param(("analyze", "--tolerance", "solve_residual=1"), id="solve_residual"),
         ],
@@ -146,6 +151,15 @@ class TestAnalyze:
         assert code == EXIT_INPUT_ERROR
         assert out == ""
         assert err.startswith("mrdist: error: ")
+
+    @pytest.mark.parametrize("name", _FOLDED_TOLERANCES)
+    def test_folded_tolerance_name_rejected(self, capsys, ce_file, name):
+        # these absolute bounds became tol.bound(scale) of identity_relative
+        code = cli.main(["analyze", ce_file, "--tolerance", f"{name}=1e-6"])
+        out, err = capsys.readouterr()
+        assert code == EXIT_INPUT_ERROR
+        assert out == ""
+        assert err == f"mrdist: error: unknown tolerance {name!r}\n"
 
     def test_eigentime_off(self, capsys, ce_file):
         code, rep = run_json(capsys, "analyze", ce_file, "--eigentime", "off")
@@ -268,15 +282,14 @@ class TestSimulateCommand:
         assert code_a == code_b == EXIT_OK
         assert out_a == out_b
 
-    def test_same_state_pair_is_exact_zero(self, capsys, ce_file):
-        code, rep = run_json(
-            capsys, "simulate", ce_file, "--pairs", "2,2", "--replicas", "500"
-        )
-        assert code == EXIT_OK
-        pair = rep["simulation"]["pairs"][0]
-        assert pair["estimate"] == 0.0
-        assert pair["std_error"] == 0.0
-        assert pair["check"]["pass"] is True
+    def test_same_state_pair_is_a_usage_error(self, capsys, ce_file):
+        # Omega[i, i] = 0 exactly, so such a pair would only add a vacuous check
+        for argv in (["simulate"], ["analyze", "--simulate"]):
+            code = cli.main([argv[0], ce_file, *argv[1:], "--pairs", "1,3;2,2"])
+            out, err = capsys.readouterr()
+            assert code == EXIT_INPUT_ERROR
+            assert out == ""
+            assert err.startswith("mrdist: error: ") and "'2,2'" in err
 
     def test_unknown_label(self, capsys, ce_file):
         code = cli.main(["simulate", ce_file, "--pairs", "1,9"])

@@ -1,0 +1,128 @@
+"""The tolerance record: one scaled bound for every identity check."""
+
+import json
+import pathlib
+import re
+
+import numpy as np
+import pytest
+
+from mrdist import chain, cli
+from mrdist.cli import EXIT_CHECK_FAILED, EXIT_OK
+from mrdist.tolerances import DEFAULT, Tolerances
+
+SRC = pathlib.Path(cli.__file__).parent
+
+
+def run_json(capsys, *argv):
+    code = cli.main([*argv, "--format", "json"])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_bound_is_relative_above_one():
+    assert DEFAULT.bound(0.0) == DEFAULT.bound(-0.5) == DEFAULT.identity_relative
+    assert DEFAULT.bound(-1e4) == DEFAULT.identity_relative * 1e4
+    assert Tolerances(identity_relative=1e-6).bound(20.0) == pytest.approx(2e-5)
+
+
+@pytest.mark.parametrize("name", Tolerances.field_names())
+def test_every_field_is_read(name):
+    # a field nothing reads is a knob that changes no verdict
+    text = "\n".join(p.read_text() for p in SRC.glob("*.py"))
+    assert re.search(rf"\b(tol|self)\.{name}\b", text)
+
+
+def test_counterexample_bounds_follow_their_scales(capsys):
+    code, rep = run_json(capsys, "counterexample")
+    assert code == EXIT_OK
+    analysis = chain.analyze(cli.counterexample_chain())
+    n, t_av = 3, analysis.t_av
+    max_f, max_d = np.abs(analysis.F).max(), np.abs(analysis.D).max()
+    max_omega = np.max(rep["omega"]["fundamental"])
+    checks = rep["checks"]
+    scales = {
+        "stationary_residual": 1.0,
+        "forest_stationary": 1.0,
+        "fundamental_residual": max_f,
+        "fundamental_row_sums": max_f,
+        "stationary_projection": max_f,
+        "multiplicative_kirchhoff": max_f,
+        "group_inverse_row_sums": max_d,
+        "group_inverse_axioms": max_d,
+        "random_target_spread": t_av,
+        "representation_group_inverse": max_omega,
+        "representation_hitting_time": max_omega,
+        "forest_omega": max_omega,
+        "omega_endpoints": max_omega,
+        "omega_via_middle": max_omega,
+        "triangle_violation_margin": max_omega,
+        "forest_hitting": analysis.H.max(),
+        "kirchhoff_vs_kemeny": 2 * n * t_av,
+        "additive_lower_bound": checks["additive_lower_bound"]["rhs"],
+        "additive_upper_bound": checks["additive_upper_bound"]["rhs"],
+    }
+    for name in ("sum_rule_stationary_pair", "foster_trace_m1", "foster_trace_m2",
+                 "foster_trace_m3"):
+        scales[name] = max(abs(checks[name]["lhs"]), abs(checks[name]["rhs"]))
+    for name, scale in scales.items():
+        assert checks[name]["tolerance"] == pytest.approx(DEFAULT.bound(scale), rel=1e-12), name
+    assert checks["kemeny_vs_eigentime"]["tolerance"] == pytest.approx(DEFAULT.eigentime * t_av)
+    assert checks["kirchhoff_vs_eigentime"]["tolerance"] == pytest.approx(
+        DEFAULT.eigentime * 2 * n * t_av
+    )
+    assert checks["hitting_time_oracle"]["tolerance"] == DEFAULT.hitting_agreement
+    assert checks["pi_middle_state"]["tolerance"] == 1e-12
+    unscaled = {"kemeny_vs_eigentime", "kirchhoff_vs_eigentime", "hitting_time_oracle",
+                "pi_middle_state"}
+    assert set(checks) == set(scales) | unscaled
+
+
+def test_doubly_stochastic_bounds_follow_their_scales(capsys, tmp_path):
+    path = tmp_path / "cycle.csv"
+    path.write_text("0.5,0.25,0.25\n0.25,0.5,0.25\n0.25,0.25,0.5\n")
+    code, rep = run_json(capsys, "analyze", str(path))
+    assert code == EXIT_OK
+    checks = rep["checks"]
+    max_omega = np.max(rep["omega"]["fundamental"])
+    assert checks["representation_commute_scaled"]["tolerance"] == pytest.approx(
+        DEFAULT.bound(max_omega), rel=1e-12
+    )
+    assert checks["foster_first_formula"]["tolerance"] == DEFAULT.bound(2 * (3 - 1))
+    assert checks["triangle_inequality"]["tolerance"] == DEFAULT.triangle
+
+
+# Valid slow-mixing chains whose rounding is small for the size of what the
+# checks compare: each exited 2 under per-check absolute tolerances.
+
+def test_two_state_chain_at_1e_4_passes(capsys, tmp_path):
+    # forest_hitting had abs_err 1.08e-9 on hitting times near 1e4
+    path = tmp_path / "two_state.csv"
+    path.write_text("0.9999,0.0001\n0.0001,0.9999\n")
+    code, rep = run_json(capsys, "analyze", str(path))
+    assert code == EXIT_OK
+    assert rep["checks"]["forest_hitting"]["pass"] is True
+
+
+@pytest.fixture
+def birth_death(capsys, tmp_path):
+    def make(n):
+        path = str(tmp_path / f"bd{n}.json")
+        assert cli.main(["generate", str(n), "birth_death", path, "--seed", "0"]) == EXIT_OK
+        capsys.readouterr()
+        return path
+    return make
+
+
+def test_birth_death_16_forest_verify_passes(capsys, birth_death):
+    # forest_hitting had abs_err 3.75e-8 on hitting times up to 3.2e4
+    code, rep = run_json(capsys, "forest-verify", birth_death(16), "--cap", "16")
+    assert code == EXIT_OK
+    assert all(check["pass"] for check in rep["checks"].values())
+
+
+def test_birth_death_64_fails_only_the_hitting_oracle(capsys, birth_death):
+    # hitting_time_oracle keeps its absolute bound, hitting_agreement
+    code, rep = run_json(capsys, "analyze", birth_death(64))
+    assert code == EXIT_CHECK_FAILED
+    failing = [name for name, check in rep["checks"].items() if not check["pass"]]
+    assert failing == ["hitting_time_oracle"]
