@@ -19,6 +19,7 @@ import functools
 import json
 import os
 import sys
+from itertools import repeat
 
 import numpy as np
 
@@ -101,7 +102,7 @@ def load_chain(path: str, *, tol: Tolerances = DEFAULT) -> chain.StochasticMatri
 def save_chain(path: str, mat: chain.StochasticMatrix) -> None:
     """Write a chain file, CSV by .csv extension, JSON otherwise."""
     if path.endswith(".csv"):
-        lines = [",".join(_floats17(row)) for row in mat.P.tolist()]
+        lines = [",".join(map(_float17, row)) for row in mat.P.tolist()]
         text = "\n".join(lines) + "\n"
     else:
         text = dumps_json({"states": _labels(mat), "P": mat.P}) + "\n"
@@ -112,14 +113,11 @@ def save_chain(path: str, mat: chain.StochasticMatrix) -> None:
 # ---------------------------------------------------------------------------
 # report serialization
 
-def _floats17(values) -> list[str]:
-    """Each float at 17 significant digits, marked as a float by a '.' or an
-    exponent ("1.0", "-0.0", "1e+16", "inf.0")."""
-    return [s if "." in s or "e" in s else s + ".0" for s in map("%.17g".__mod__, values)]
-
-
 def _float17(x) -> str:
-    return _floats17((float(x),))[0]
+    """A float at 17 significant digits, marked as a float by a '.' or an
+    exponent ("1.0", "-0.0", "1e+16", "inf.0")."""
+    s = "%.17g" % x
+    return s if "." in s or "e" in s else s + ".0"
 
 
 def _json_scalar(x) -> str:
@@ -136,16 +134,30 @@ def _json_scalar(x) -> str:
     raise TypeError(f"cannot serialize {type(x).__name__}")
 
 
+class _Tokens(dict):
+    """Float -> its ``_float17`` token, filled as a document meets new values.
+
+    A report repeats most of its floats (Omega's copies, symmetric entries),
+    so one dict per ``dumps_json`` call formats each distinct float once.
+    """
+
+    def __missing__(self, x) -> str:
+        token = _float17(x)
+        if x:  # zeros stay out: 0.0 == -0.0, but they print differently
+            self[x] = token
+        return token
+
+
 def dumps_json(obj) -> str:
     """Deterministic JSON with floats at 17 significant digits."""
     pieces: list[str] = []
-    _emit_json(obj, 0, pieces)
+    _emit_json(obj, 0, pieces, _Tokens())
     return "".join(pieces)
 
 
 # module-level rather than a closure: a self-referencing closure is a
 # reference cycle that keeps ``pieces`` alive until the next garbage collection
-def _emit_json(x, depth: int, pieces: list[str]) -> None:
+def _emit_json(x, depth: int, pieces: list[str], tokens: _Tokens) -> None:
     pad = "  " * depth
     if isinstance(x, dict):
         if not x:
@@ -155,7 +167,7 @@ def _emit_json(x, depth: int, pieces: list[str]) -> None:
         items = list(x.items())
         for idx, (k, v) in enumerate(items):
             pieces.append(pad + "  " + json.dumps(str(k)) + ": ")
-            _emit_json(v, depth + 1, pieces)
+            _emit_json(v, depth + 1, pieces, tokens)
             pieces.append(",\n" if idx < len(items) - 1 else "\n")
         pieces.append(pad + "}")
     elif isinstance(x, (list, tuple, np.ndarray)):
@@ -163,9 +175,9 @@ def _emit_json(x, depth: int, pieces: list[str]) -> None:
         if not seq:
             pieces.append("[]")
             return
-        # a row of floats, such as a matrix row, is formatted in one pass
-        if all(isinstance(v, float) for v in seq):
-            pieces.append("[" + ", ".join(_floats17(seq)) + "]")
+        # a row of floats, such as a matrix row, takes its tokens in one pass
+        if all(map(isinstance, seq, repeat(float))):
+            pieces.append("[" + ", ".join(map(tokens.__getitem__, seq)) + "]")
             return
         nested = any(isinstance(v, (dict, list, tuple, np.ndarray)) for v in seq)
         if not nested:
@@ -174,7 +186,7 @@ def _emit_json(x, depth: int, pieces: list[str]) -> None:
             pieces.append("[\n")
             for idx, v in enumerate(seq):
                 pieces.append(pad + "  ")
-                _emit_json(v, depth + 1, pieces)
+                _emit_json(v, depth + 1, pieces, tokens)
                 pieces.append(",\n" if idx < len(seq) - 1 else "\n")
             pieces.append(pad + "]")
     else:
@@ -622,6 +634,8 @@ def cmd_simulate(
     mat, analysis, om = _load_analyzed(path, tol)
     labels = _labels(mat)
     pairs = None if pairs_spec == "all" else parse_pairs(pairs_spec, labels)
+    if pairs is None and mat.n < 2:  # a report of zero checks would pass vacuously
+        raise _UsageError(f"no pairs in {pairs_spec!r}: a one-state chain has none")
     section = _simulation_section(mat, analysis, om, cfg, pairs, labels, tol)
     return {
         "command": "simulate",

@@ -3,10 +3,11 @@ r"""Dense real-matrix kernel for desk-scale problems (n <= 64).
 Contract-enforcing wrappers around LAPACK via numpy/scipy: LU solves with
 partial pivoting (``dgetrf``/``dgetrs``, called directly rather than through
 ``scipy.linalg``'s warning and array-API wrappers) and an explicit
-pivot-threshold singularity check, matrix inverse, the full complex spectrum
-(Hessenberg reduction plus shifted QR, as implemented by ``dgeev``), integer
-matrix powers by repeated squaring, and the trace. All functions treat their
-inputs as immutable.
+pivot-threshold singularity check, for one matrix or for a stack of
+equal-size matrices validated once and factored one by one; matrix inverse;
+the full complex spectrum (Hessenberg reduction plus shifted QR, as
+implemented by ``dgeev``); integer matrix powers by repeated squaring; and the
+trace. All functions treat their inputs as immutable.
 """
 
 from __future__ import annotations
@@ -51,30 +52,51 @@ def lu_solve(a, b, *, tol: Tolerances = DEFAULT) -> np.ndarray:
 
     Parameters
     ----------
-    a : (n, n) array_like
-        Square coefficient matrix.
-    b : (n,) or (n, m) array_like
-        Right-hand side(s).
+    a : (m, m) or (k, m, m) array_like
+        Square coefficient matrix, or a stack of k of them solved one by one.
+    b : (..., m) or (..., m, r) array_like
+        Right-hand side(s), one vector or one block per matrix of ``a``.
 
     Returns
     -------
     x : ndarray
-        Solution with the same right-hand-side shape as ``b``.
+        Solution with the same shape as ``b``.
 
     Raises
     ------
     SingularMatrixError
-        If any pivot magnitude falls below ``tol.pivot`` after pivoting.
+        If any pivot magnitude of any matrix falls below ``tol.pivot`` after
+        pivoting.
     """
-    a = require_square(a)
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 3:
+        a = require_square(a)
+    elif a.shape[1] != a.shape[2]:
+        raise NotSquareError(f"expected square matrices, got shape {a.shape}")
+    elif not np.isfinite(a).all():
+        raise NonFiniteEntryError("matrix contains NaN or infinite entries")
+    m = a.shape[-1]
     b_arr = np.asarray(b, dtype=float)
-    rhs = b_arr if b_arr.ndim == 2 else b_arr[:, None]
-    if rhs.shape[0] != a.shape[0]:
+    vector = b_arr.ndim == a.ndim - 1
+    rhs = b_arr[..., None] if vector else b_arr
+    if rhs.ndim != a.ndim or rhs.shape[:-2] != a.shape[:-2]:
         raise NotSquareError(
-            f"rhs has {rhs.shape[0]} rows, expected {a.shape[0]}"
+            f"rhs of shape {b_arr.shape} does not match matrices of shape {a.shape}"
         )
+    if rhs.shape[-2] != m:
+        raise NotSquareError(f"rhs has {rhs.shape[-2]} rows, expected {m}")
     if not np.isfinite(rhs).all():
         raise NonFiniteEntryError("right-hand side contains NaN or Inf")
+    if a.size == 0:  # LAPACK rejects a 0 x 0 matrix; x = b is empty too
+        return b_arr.copy()
+    if a.ndim == 2:
+        x = _lu_solve_one(a, rhs, tol)
+    else:
+        x = np.stack([_lu_solve_one(a_k, rhs_k, tol) for a_k, rhs_k in zip(a, rhs)])
+    return x[..., 0] if vector else x
+
+
+def _lu_solve_one(a: np.ndarray, rhs: np.ndarray, tol: Tolerances) -> np.ndarray:
     # dgetrf's info > 0 marks an exactly zero pivot; the pivot check below
     # raises on it, as on any pivot under tol.pivot
     lu, piv, _ = dgetrf(a)
@@ -83,8 +105,7 @@ def lu_solve(a, b, *, tol: Tolerances = DEFAULT) -> np.ndarray:
         raise SingularMatrixError(
             f"pivot magnitude {smallest_pivot:.3e} below threshold {tol.pivot:.1e}"
         )
-    x, _ = dgetrs(lu, piv, rhs)
-    return x if b_arr.ndim == 2 else x[:, 0]
+    return dgetrs(lu, piv, rhs)[0]
 
 
 def inverse(a, *, tol: Tolerances = DEFAULT) -> np.ndarray:

@@ -141,7 +141,8 @@ def metric_check(omega: ResistanceMatrix, *, tol: Tolerances = DEFAULT) -> Metri
 
     # violation[i, k, j] = w[i, j] - w[i, k] - w[k, j]; triples with a
     # repeated state are masked out
-    viol = w[:, None, :] - w[:, :, None] - w[None, :, :]
+    viol = w[:, None, :] - w[:, :, None]
+    viol -= w[None]
     d = np.arange(n)
     viol[d, d, :] = viol[:, d, d] = viol[d, :, d] = -np.inf
     flat = int(np.argmax(viol))

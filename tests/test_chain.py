@@ -1,4 +1,5 @@
 import math
+import re
 from collections import deque
 
 import numpy as np
@@ -13,7 +14,9 @@ from mrdist.errors import (
     NotSquareError,
     RandomTargetViolationError,
     RowSumOutOfToleranceError,
+    SingularMatrixError,
 )
+from mrdist.tolerances import DEFAULT
 
 from conftest import CE_H, CE_PI, CE_T_AV
 
@@ -299,6 +302,51 @@ class TestHittingTimesOracle:
     def test_requires_ergodic(self):
         with pytest.raises(NotErgodicError):
             chain.hitting_times_oracle(chain.validate([[0.0, 1.0], [1.0, 0.0]]))
+
+
+def ref_hitting_times_oracle(mat, *, tol=DEFAULT):
+    """One lu_solve per target on its own slice of P, as the oracle was."""
+    P, n = mat.P, mat.n
+    H = np.zeros((n, n))
+    for j in range(n):
+        keep = [i for i in range(n) if i != j]
+        sub = P[np.ix_(keep, keep)]
+        H[keep, j] = linalg.lu_solve(np.eye(n - 1) - sub, np.ones(n - 1), tol=tol)
+    return H
+
+
+class TestStackedOracle:
+    """The stacked oracle against the per-target loop it replaced."""
+
+    @pytest.mark.parametrize("kind", chain.CHAIN_KINDS)
+    @pytest.mark.parametrize("n", [2, 3, 5, 16, 32, 64])
+    def test_bit_identical_to_per_target_loop(self, kind, n):
+        for seed in (0, 1):
+            mat = chain.generate_random_chain(n, kind, seed)
+            H = chain.hitting_times_oracle(mat)
+            assert H.tobytes() == ref_hitting_times_oracle(mat).tobytes(), seed
+
+    def test_one_state_chain(self):
+        H = chain.hitting_times_oracle(chain.validate([[1.0]]))
+        assert H.shape == (1, 1) and H[0, 0] == 0.0
+
+    @pytest.mark.parametrize("pivot", [0.45, 0.6, 2.0])
+    def test_pivot_threshold_raises_as_per_target_loop(self, pivot):
+        # --tolerance pivot=<large>: the same target fails first, with the
+        # same message; a threshold no pivot falls under changes nothing
+        tol = DEFAULT.override(pivot=pivot)
+        raised = 0
+        for seed in range(4):
+            mat = chain.generate_random_chain(9, "ergodic", seed)
+            try:
+                ref = ref_hitting_times_oracle(mat, tol=tol)
+            except SingularMatrixError as exc:
+                raised += 1
+                with pytest.raises(SingularMatrixError, match=f"^{re.escape(str(exc))}$"):
+                    chain.hitting_times_oracle(mat, tol=tol)
+            else:
+                assert chain.hitting_times_oracle(mat, tol=tol).tobytes() == ref.tobytes()
+        assert raised
 
 
 class TestKemenyConstant:

@@ -303,6 +303,33 @@ class TestSimulateCommand:
         assert len(rep["simulation"]["pairs"]) == 3
 
 
+class TestOneStateChain:
+    @pytest.fixture
+    def one_state(self, tmp_path):
+        path = tmp_path / "one.json"
+        path.write_text('{"P": [[1.0]]}')
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["analyze", "forest-verify"])
+    def test_passes_with_empty_stderr(self, capfd, one_state, command):
+        # capfd, not capsys: LAPACK writes its argument errors to fd 2
+        code = cli.main([command, one_state, "--format", "json"])
+        out, err = capfd.readouterr()
+        assert code == EXIT_OK
+        assert err == ""
+        rep = json.loads(out)
+        assert rep["pass"] is True
+        assert all(check["pass"] for check in walk_checks(rep))
+
+    def test_simulate_all_pairs_is_a_usage_error(self, capfd, one_state):
+        # zero pairs would make a report of zero checks that passes
+        code = cli.main(["simulate", one_state])
+        out, err = capfd.readouterr()
+        assert code == EXIT_INPUT_ERROR
+        assert out == ""
+        assert err.startswith("mrdist: error: no pairs")
+
+
 class TestCounterexampleCommand:
     def test_values(self, capsys):
         code, rep = run_json(capsys, "counterexample")

@@ -10,6 +10,7 @@ from mrdist.errors import (
     SingularMatrixError,
     TooLargeError,
 )
+from mrdist.tolerances import DEFAULT
 
 from conftest import CE_EIGENVALUES, CE_T_AV
 
@@ -79,6 +80,50 @@ class TestLuSolve:
             ref = scipy.linalg.lu_solve(factors, b)
             assert x.shape == ref.shape == b.shape
             assert x.tobytes() == ref.tobytes()
+
+
+class TestLuSolveStack:
+    def test_bit_identical_to_one_call_per_matrix(self):
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal((5, 9, 9))
+        for b in (rng.standard_normal((5, 9)), rng.standard_normal((5, 9, 3))):
+            x = linalg.lu_solve(a, b)
+            assert x.shape == b.shape
+            for k in range(5):
+                assert x[k].tobytes() == linalg.lu_solve(a[k], b[k]).tobytes()
+
+    def test_empty_systems_skip_lapack(self, capfd):
+        # LAPACK's dgetrf rejects a 0 x 0 matrix on stderr
+        assert linalg.lu_solve(np.zeros((0, 0)), np.zeros(0)).shape == (0,)
+        assert linalg.lu_solve(np.zeros((3, 0, 0)), np.zeros((3, 0))).shape == (3, 0)
+        assert linalg.lu_solve(np.zeros((0, 2, 2)), np.zeros((0, 2))).shape == (0, 2)
+        assert capfd.readouterr().err == ""
+
+    def test_pivot_checked_per_matrix(self):
+        a = np.stack([np.eye(2), [[1.0, 1.0], [1.0, 1.0]], np.zeros((2, 2))])
+        with pytest.raises(SingularMatrixError, match="^pivot magnitude 0.000e"):
+            linalg.lu_solve(a, np.ones((3, 2)))
+        a = np.stack([3.0 * np.eye(2), np.diag([3.0, 0.5]), 0.25 * np.eye(2)])
+        with pytest.raises(SingularMatrixError, match=r"^pivot magnitude 5\.000e-01 below"):
+            linalg.lu_solve(a, np.ones((3, 2)), tol=DEFAULT.override(pivot=1.0))
+
+    @pytest.mark.parametrize("a,b", [
+        (np.ones((2, 3, 4)), np.ones((2, 3))),  # matrices not square
+        (np.ones((2, 3, 3)), np.ones((3, 3))),  # rhs for three systems
+        (np.ones((2, 3, 3)), np.ones((2, 4))),  # rhs rows
+        (np.ones((2, 3, 3)), np.ones(3)),  # rhs not stacked
+    ])
+    def test_shape_mismatch(self, a, b):
+        with pytest.raises(NotSquareError):
+            linalg.lu_solve(a, b)
+
+    def test_nonfinite_rejected(self):
+        a = np.stack([np.eye(2), np.eye(2)])
+        a[1, 0, 1] = np.inf
+        with pytest.raises(NonFiniteEntryError):
+            linalg.lu_solve(a, np.ones((2, 2)))
+        with pytest.raises(NonFiniteEntryError):
+            linalg.lu_solve(np.stack([np.eye(2)] * 2), [[1.0, 1.0], [np.nan, 1.0]])
 
 
 class TestInverse:

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from mrdist import chain, resistance
+from mrdist import chain, cli, resistance
 from mrdist.errors import (
     HypothesisViolatedError,
     NotDoublyStochasticError,
     NotReversibleError,
 )
+from mrdist.tolerances import DEFAULT
 
 from conftest import CE_OMEGA
 
@@ -90,6 +91,46 @@ class TestMetricCheck:
         report = resistance.metric_check(om)
         assert report.triangle_holds
         assert report.worst_triple is None
+
+
+def ref_metric_check(omega, *, tol=DEFAULT):
+    """The triangle scan with two n^3 temporaries, as it was."""
+    w = omega.omega
+    n = w.shape[0]
+    off = ~np.eye(n, dtype=bool)
+    nonnegative = bool(w.min() >= 0.0) and bool((w[off] > 0.0).all())
+    symmetric = bool(np.array_equal(w, w.T))
+    if n < 3:
+        return resistance.MetricReport(nonnegative, symmetric, True, None, 0.0)
+    viol = w[:, None, :] - w[:, :, None] - w[None, :, :]
+    d = np.arange(n)
+    viol[d, d, :] = viol[:, d, d] = viol[d, :, d] = -np.inf
+    flat = int(np.argmax(viol))
+    worst = float(viol.reshape(-1)[flat])
+    i, k, j = np.unravel_index(flat, viol.shape)
+    return resistance.MetricReport(
+        nonnegative=nonnegative,
+        symmetric=symmetric,
+        triangle_holds=bool(worst <= tol.triangle),
+        worst_triple=(int(i), int(k), int(j)),
+        worst_violation=worst,
+    )
+
+
+def _scan_inputs():
+    yield "counterexample", cli.counterexample_chain()
+    yield "uniform", chain.validate(np.full((6, 6), 1.0 / 6.0))  # every triple ties
+    for kind in chain.CHAIN_KINDS:
+        for n in range(3, 65):
+            yield f"{kind} {n}", chain.generate_random_chain(n, kind, n)
+
+
+def test_metric_check_matches_two_temporary_scan():
+    for name, mat in _scan_inputs():
+        _, om = _full(mat)
+        root = resistance.resistance_matrix(np.sqrt(om.omega), om.method)
+        for w in (om, root):
+            assert resistance.metric_check(w) == ref_metric_check(w), name
 
 
 class TestSumRule:

@@ -1,8 +1,9 @@
 """Report serialisation against the per-scalar serialiser it replaced.
 
-``cli.dumps_json`` and ``cli.render_human`` format a row of floats in one
-pass. The reference below formats one value per call, as the CLI did before;
-both must give the same bytes on edge values, mixed lists and whole reports.
+``cli.dumps_json`` formats each distinct float of a document once and
+``cli.render_human`` formats a row of floats in one pass. The reference below
+formats one value per call, as the CLI did before; both must give the same
+bytes on edge values, mixed lists and whole reports.
 """
 
 import json
@@ -177,6 +178,39 @@ def test_mixed_list_matches_reference(key):
     assert cli.dumps_json(MIXED[key]) == ref_dumps_json(MIXED[key])
 
 
+def test_recurring_zeros_and_nans_match_reference():
+    # 0.0 == -0.0 and NaN != NaN: neither may take another value's token
+    nan = float("nan")
+    row = [0.0, -0.0, nan, 0.5, -0.0, 0.0, float("nan"), -0.5]
+    doc = {
+        "m1": [row, row[::-1], [-0.0] * 3, [nan, nan]],
+        "m2": np.array([row, [-0.0, 0.0, nan, -0.5, 0.5, -0.0, 0.0, nan]]),
+        "scalars": [-0.0, 0.0, nan],
+        "rows": [[0.0], [-0.0], [nan], [np.float64(-0.0)], [np.float64(nan)]],
+    }
+    assert cli.dumps_json(doc) == ref_dumps_json(doc)
+
+
+def test_numpy_float_equal_to_an_earlier_float_matches_reference():
+    doc = {"a": [0.1, 1 / 3, 1e16], "b": [np.float64(0.1), np.float64(1 / 3)],
+           "c": np.array([1e16, 0.1]), "d": [1 / 3, 1e16]}
+    assert cli.dumps_json(doc) == ref_dumps_json(doc)
+
+
+def test_each_distinct_float_formatted_once_per_call(monkeypatch):
+    calls = []
+    real = cli._float17
+    monkeypatch.setattr(cli, "_float17", lambda x: calls.append(x) or real(x))
+    doc = {"a": [0.1, 0.2, 0.1], "b": [[0.2, 0.1], [0.0, -0.0]], "c": [0.0, 0.3]}
+    first = cli.dumps_json(doc)
+    # zeros are formatted at each occurrence, every other value once
+    assert sorted(calls) == sorted([0.1, 0.2, 0.0, -0.0, 0.0, 0.3])
+    calls.clear()
+    # the memo does not outlive a call: the next call formats them all again
+    assert cli.dumps_json(doc) == first == ref_dumps_json(doc)
+    assert len(calls) == 6
+
+
 def test_human_flat_and_matrix_lists_match_reference():
     doc = {k: v for k, v in MIXED.items() if k not in ("nested", "empty_nested")}
     doc["matrix"] = np.array([EDGE_ROW, EDGE_ROW[::-1]])
@@ -247,3 +281,13 @@ def test_reports_match_reference_json(reports):
 def test_reports_match_reference_human(reports):
     for name, report in reports.items():
         assert cli.render_human(report) == ref_render_human(report), name
+
+
+@pytest.mark.parametrize("kind", chain.CHAIN_KINDS)
+@pytest.mark.parametrize("n", [32, 64])
+def test_analyze_reports_match_reference_json(tmp_path, kind, n):
+    for seed in (0, 1):
+        path = _write(tmp_path, f"{kind}_{n}_{seed}.json",
+                      chain.generate_random_chain(n, kind, seed).P)
+        report = cli.cmd_analyze(path)
+        assert cli.dumps_json(report) == ref_dumps_json(report), seed
