@@ -64,7 +64,7 @@ class StochasticMatrix:
         arcs = self.P > 0.0
         level = _bfs_levels(arcs, 0)
         reached = level >= 0
-        strongly_connected = bool(reached.all() and _reachable(arcs.T, 0).all())
+        strongly_connected = bool(reached.all() and (_bfs_levels(arcs.T, 0) >= 0).all())
         # every successor of a reached state is reached
         i, j = np.nonzero(arcs & reached[:, None])
         g = int(np.gcd.reduce(level[i] + 1 - level[j]))
@@ -161,17 +161,6 @@ def validate(
                 f"{len(labels)} state labels for {arr.shape[0]} states"
             )
     return StochasticMatrix(_freeze(arr), labels)
-
-
-def _reachable(arcs: np.ndarray, root: int) -> np.ndarray:
-    """States reachable from ``root`` over the boolean arc matrix."""
-    seen = np.zeros(len(arcs), dtype=bool)
-    seen[root] = True
-    frontier = seen.copy()
-    while frontier.any():
-        frontier = arcs[frontier].any(axis=0) & ~seen
-        seen |= frontier
-    return seen
 
 
 def _bfs_levels(arcs: np.ndarray, root: int) -> np.ndarray:

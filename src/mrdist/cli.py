@@ -19,7 +19,7 @@ import functools
 import json
 import os
 import sys
-from itertools import repeat
+from itertools import combinations, repeat
 
 import numpy as np
 
@@ -94,8 +94,6 @@ def load_chain(path: str, *, tol: Tolerances = DEFAULT) -> chain.StochasticMatri
         arr = np.array(rows, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: ragged or non-numeric matrix: {exc}") from exc
-    if labels is None:
-        labels = [str(i + 1) for i in range(arr.shape[0] if arr.ndim == 2 else 0)]
     return chain.validate(arr, state_labels=labels, tol=tol)
 
 
@@ -317,15 +315,17 @@ def _triple_labels(triple, labels) -> list[str] | None:
     return [labels[t] for t in triple]
 
 
-def _load_analyzed(
-    path: str, tol: Tolerances, not_ergodic: str = "analysis requires an ergodic chain"
-):
-    """Load a chain file; return the matrix, its analysis and its Omega from F."""
-    mat = load_chain(path, tol=tol)
+def _analyzed(mat: chain.StochasticMatrix, tol: Tolerances):
+    """The analysis of an ergodic chain and its Omega from F; raises
+    NotErgodicError with the graph verdict otherwise."""
     if not mat.is_ergodic:
-        raise NotErgodicError(not_ergodic)
+        strongly_connected, period = mat.graph_verdict
+        raise NotErgodicError(
+            f"chain is not ergodic (strongly_connected={strongly_connected}, "
+            f"period={period})"
+        )
     analysis = chain.analyze(mat, tol=tol)
-    return mat, analysis, resistance.omega_from_fundamental(analysis.F)
+    return analysis, resistance.omega_from_fundamental(analysis.F)
 
 
 def analyze_report(
@@ -337,17 +337,15 @@ def analyze_report(
     sim_cfg: simulate.SimConfig | None = None,
     sim_pairs: list[tuple[int, int]] | None = None,
 ) -> dict:
-    """Full analysis document for an ergodic chain; raises on input errors."""
+    """Full analysis document for an ergodic chain; raises on input errors.
+
+    ``sim_pairs`` lists the state index pairs to simulate when ``sim_cfg``
+    is given.
+    """
     labels = _labels(mat)
     n = mat.n
     P = mat.P
-    if not mat.is_ergodic:
-        strongly_connected, period = mat.graph_verdict
-        raise NotErgodicError(
-            f"chain is not ergodic (strongly_connected={strongly_connected}, "
-            f"period={period})"
-        )
-    analysis = chain.analyze(mat, tol=tol)
+    analysis, om = _analyzed(mat, tol)
     erg = analysis.ergodicity
     pi, F, D, H = analysis.pi, analysis.F, analysis.D, analysis.H
     report: dict = {
@@ -359,7 +357,6 @@ def analyze_report(
         "t_av": analysis.t_av,
     }
 
-    om = resistance.omega_from_fundamental(F)
     om_d = resistance.omega_from_group_inverse(D)
     om_h = resistance.omega_from_hitting(H, pi)
     om_c = (
@@ -413,7 +410,7 @@ def analyze_report(
     if om_c is not None:
         checks["representation_commute_scaled"] = _agreement_check(om_c.omega, om.omega, tol)
         checks["triangle_inequality"] = _residual_check(
-            max(metric.worst_violation, 0.0), tol.triangle
+            max(metric.worst_violation, 0.0), tol.bound(om.omega.max())
         )
     checks["kirchhoff_vs_kemeny"] = _check(kirch.kirchhoff, kemeny_sum, tol.bound(kemeny_sum))
     if eigentime:
@@ -496,8 +493,6 @@ def analyze_report(
 
 
 def _simulation_section(mat, analysis, om, cfg, pairs, labels, tol) -> dict:
-    if pairs is None:
-        pairs = [(i, j) for i in range(mat.n) for j in range(i + 1, mat.n)]
     rows = []
     for i, j in pairs:
         row: dict = {"pair": [labels[i], labels[j]]}
@@ -535,9 +530,7 @@ def cmd_analyze(
     pairs_spec: str = "all",
 ) -> dict:
     mat = load_chain(path, tol=tol)
-    sim_pairs = None
-    if sim_cfg is not None and pairs_spec != "all":
-        sim_pairs = parse_pairs(pairs_spec, _labels(mat))
+    sim_pairs = None if sim_cfg is None else parse_pairs(pairs_spec, _labels(mat))
     report = analyze_report(
         mat,
         tol=tol,
@@ -557,7 +550,10 @@ def cmd_sumrule(
     *,
     tol: Tolerances = DEFAULT,
 ) -> dict:
-    mat, analysis, om = _load_analyzed(path, tol, "sum rules require an ergodic chain")
+    mat = load_chain(path, tol=tol)
+    if mat.n < 2:  # every pair of a one-state chain gives 0 = 0
+        raise _UsageError("sum rules need n >= 2 states: a one-state chain has no pairs")
+    analysis, om = _analyzed(mat, tol)
 
     checks = {"canonical_stationary_pair": _stationary_pair_check(analysis, om, tol)}
     skipped: dict[str, str] = {}
@@ -609,7 +605,8 @@ def cmd_forest_verify(
     *,
     tol: Tolerances = DEFAULT,
 ) -> dict:
-    mat, analysis, om = _load_analyzed(path, tol)
+    mat = load_chain(path, tol=tol)
+    analysis, om = _analyzed(mat, tol)
     fw = forest.enumerate_forests(mat, max_n=cap)
     checks = _forest_checks(fw, analysis, om, tol)
     return {
@@ -631,11 +628,10 @@ def cmd_simulate(
     *,
     tol: Tolerances = DEFAULT,
 ) -> dict:
-    mat, analysis, om = _load_analyzed(path, tol)
+    mat = load_chain(path, tol=tol)
+    analysis, om = _analyzed(mat, tol)
     labels = _labels(mat)
-    pairs = None if pairs_spec == "all" else parse_pairs(pairs_spec, labels)
-    if pairs is None and mat.n < 2:  # a report of zero checks would pass vacuously
-        raise _UsageError(f"no pairs in {pairs_spec!r}: a one-state chain has none")
+    pairs = parse_pairs(pairs_spec, labels)
     section = _simulation_section(mat, analysis, om, cfg, pairs, labels, tol)
     return {
         "command": "simulate",
@@ -706,7 +702,11 @@ def cmd_generate(
 # argument parsing and dispatch
 
 def parse_pairs(spec: str, labels: list[str]) -> list[tuple[int, int]]:
-    """Parse a pair list like "1,3;2,3" using state labels."""
+    """Parse "all" or a pair list like "1,3;2,3" using state labels."""
+    if spec == "all":
+        if len(labels) < 2:  # a report of zero checks would pass vacuously
+            raise _UsageError(f"no pairs in {spec!r}: a one-state chain has none")
+        return list(combinations(range(len(labels)), 2))
     index = {label: i for i, label in enumerate(labels)}
     pairs = []
     for chunk in spec.split(";"):
@@ -773,16 +773,20 @@ def build_parser() -> argparse.ArgumentParser:
             help="override a named tolerance; repeatable",
         )
 
+    def simulation(p):
+        p.add_argument("--pairs", default="all",
+                       help='"all" or semicolon list like "1,3;2,3"')
+        p.add_argument("--replicas", type=int, default=100_000)
+        p.add_argument("--max-steps", type=int, default=10_000_000)
+        p.add_argument("--seed", type=int, default=None)
+
     p = sub.add_parser("analyze", help="full analysis and identity verification")
     p.add_argument("input")
     p.add_argument("--eigentime", choices=("on", "off"), default="on")
     p.add_argument("--forest-cap", type=int, default=forest.DEFAULT_MAX_STATES)
     p.add_argument("--simulate", action="store_true",
                    help="add Monte Carlo cross-checks")
-    p.add_argument("--pairs", default="all")
-    p.add_argument("--replicas", type=int, default=100_000)
-    p.add_argument("--max-steps", type=int, default=10_000_000)
-    p.add_argument("--seed", type=int, default=None)
+    simulation(p)
     common(p)
 
     p = sub.add_parser("sumrule", help="random and canonical sum-rule pairs")
@@ -798,11 +802,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte Carlo resistance estimates")
     p.add_argument("input")
-    p.add_argument("--pairs", default="all",
-                   help='"all" or semicolon list like "1,3;2,3"')
-    p.add_argument("--replicas", type=int, default=100_000)
-    p.add_argument("--max-steps", type=int, default=10_000_000)
-    p.add_argument("--seed", type=int, default=None)
+    simulation(p)
     common(p)
 
     p = sub.add_parser("counterexample",
@@ -836,25 +836,26 @@ def _resolve_seed(args) -> int:
     return 0
 
 
+def _sim_config(args) -> simulate.SimConfig:
+    return simulate.SimConfig(
+        seed=_resolve_seed(args),
+        replicas=args.replicas,
+        max_steps_per_replica=args.max_steps,
+    )
+
+
 def main(argv=None) -> int:
     args = None
     try:
         args = _parser().parse_args(argv)
         tol = _parse_tolerance_overrides(getattr(args, "tolerance", None))
         if args.command == "analyze":
-            sim_cfg = None
-            if args.simulate:
-                sim_cfg = simulate.SimConfig(
-                    seed=_resolve_seed(args),
-                    replicas=args.replicas,
-                    max_steps_per_replica=args.max_steps,
-                )
             report = cmd_analyze(
                 args.input,
                 tol=tol,
                 eigentime=args.eigentime == "on",
                 forest_cap=args.forest_cap,
-                sim_cfg=sim_cfg,
+                sim_cfg=_sim_config(args) if args.simulate else None,
                 pairs_spec=args.pairs,
             )
         elif args.command == "sumrule":
@@ -864,12 +865,7 @@ def main(argv=None) -> int:
         elif args.command == "forest-verify":
             report = cmd_forest_verify(args.input, args.cap, tol=tol)
         elif args.command == "simulate":
-            cfg = simulate.SimConfig(
-                seed=_resolve_seed(args),
-                replicas=args.replicas,
-                max_steps_per_replica=args.max_steps,
-            )
-            report = cmd_simulate(args.input, args.pairs, cfg, tol=tol)
+            report = cmd_simulate(args.input, args.pairs, _sim_config(args), tol=tol)
         elif args.command == "counterexample":
             report = cmd_counterexample(tol=tol)
         else:  # generate

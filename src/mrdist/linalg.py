@@ -3,11 +3,11 @@ r"""Dense real-matrix kernel for desk-scale problems (n <= 64).
 Contract-enforcing wrappers around LAPACK via numpy/scipy: LU solves with
 partial pivoting (``dgetrf``/``dgetrs``, called directly rather than through
 ``scipy.linalg``'s warning and array-API wrappers) and an explicit
-pivot-threshold singularity check, for one matrix or for a stack of
-equal-size matrices validated once and factored one by one; matrix inverse;
-the full complex spectrum (Hessenberg reduction plus shifted QR, as
-implemented by ``dgeev``); integer matrix powers by repeated squaring; and the
-trace. All functions treat their inputs as immutable.
+pivot-threshold singularity check, for a stack of equal-size matrices
+validated once and factored one by one (one matrix is a stack of one);
+matrix inverse; the full complex spectrum (Hessenberg reduction plus shifted
+QR, as implemented by ``dgeev``); integer matrix powers by repeated
+squaring; and the trace. All functions treat their inputs as immutable.
 """
 
 from __future__ import annotations
@@ -28,22 +28,13 @@ from .tolerances import DEFAULT, Tolerances
 MAX_DIM = 64
 
 
-def as_dense(a) -> np.ndarray:
-    """Coerce ``a`` to a float64 2-D array, rejecting non-finite entries."""
+def require_square(a) -> np.ndarray:
+    """Coerce ``a`` to a float64 square matrix, rejecting non-finite entries."""
     arr = np.asarray(a, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    if arr.ndim != 2:
-        raise NotSquareError(f"expected a 2-D matrix, got ndim={arr.ndim}")
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise NotSquareError(f"expected a square matrix, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise NonFiniteEntryError("matrix contains NaN or infinite entries")
-    return arr
-
-
-def require_square(a) -> np.ndarray:
-    arr = as_dense(a)
-    if arr.shape[0] != arr.shape[1]:
-        raise NotSquareError(f"expected a square matrix, got shape {arr.shape}")
     return arr
 
 
@@ -52,8 +43,9 @@ def lu_solve(a, b, *, tol: Tolerances = DEFAULT) -> np.ndarray:
 
     Parameters
     ----------
-    a : (m, m) or (k, m, m) array_like
-        Square coefficient matrix, or a stack of k of them solved one by one.
+    a : (k, m, m) or (m, m) array_like
+        A stack of k square coefficient matrices, solved one by one; one
+        (m, m) matrix is solved as a stack of one.
     b : (..., m) or (..., m, r) array_like
         Right-hand side(s), one vector or one block per matrix of ``a``.
 
@@ -68,32 +60,30 @@ def lu_solve(a, b, *, tol: Tolerances = DEFAULT) -> np.ndarray:
         If any pivot magnitude of any matrix falls below ``tol.pivot`` after
         pivoting.
     """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 3:
-        a = require_square(a)
-    elif a.shape[1] != a.shape[2]:
-        raise NotSquareError(f"expected square matrices, got shape {a.shape}")
-    elif not np.isfinite(a).all():
+    a_in, b_in = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    single = a_in.ndim == 2
+    a, b_arr = (a_in[None], b_in[None]) if single else (a_in, b_in)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise NotSquareError(f"expected square matrices, got shape {a_in.shape}")
+    if not np.isfinite(a).all():
         raise NonFiniteEntryError("matrix contains NaN or infinite entries")
     m = a.shape[-1]
-    b_arr = np.asarray(b, dtype=float)
-    vector = b_arr.ndim == a.ndim - 1
+    vector = b_arr.ndim == 2
     rhs = b_arr[..., None] if vector else b_arr
-    if rhs.ndim != a.ndim or rhs.shape[:-2] != a.shape[:-2]:
+    if rhs.ndim != 3 or rhs.shape[0] != a.shape[0]:
         raise NotSquareError(
-            f"rhs of shape {b_arr.shape} does not match matrices of shape {a.shape}"
+            f"rhs of shape {b_in.shape} does not match matrices of shape {a_in.shape}"
         )
-    if rhs.shape[-2] != m:
-        raise NotSquareError(f"rhs has {rhs.shape[-2]} rows, expected {m}")
+    if rhs.shape[1] != m:
+        raise NotSquareError(f"rhs has {rhs.shape[1]} rows, expected {m}")
     if not np.isfinite(rhs).all():
         raise NonFiniteEntryError("right-hand side contains NaN or Inf")
     if a.size == 0:  # LAPACK rejects a 0 x 0 matrix; x = b is empty too
-        return b_arr.copy()
-    if a.ndim == 2:
-        x = _lu_solve_one(a, rhs, tol)
+        x = b_arr.copy()
     else:
         x = np.stack([_lu_solve_one(a_k, rhs_k, tol) for a_k, rhs_k in zip(a, rhs)])
-    return x[..., 0] if vector else x
+        x = x[..., 0] if vector else x
+    return x[0] if single else x
 
 
 def _lu_solve_one(a: np.ndarray, rhs: np.ndarray, tol: Tolerances) -> np.ndarray:

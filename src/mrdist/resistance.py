@@ -128,7 +128,9 @@ def metric_check(omega: ResistanceMatrix, *, tol: Tolerances = DEFAULT) -> Metri
     """Scan all n^3 triples for the worst triangle violation.
 
     The scan is exhaustive rather than sampled: n <= 64 keeps it cheap and
-    the reported worst triple must be exact.
+    the reported worst triple must be exact. The triangle inequality holds
+    when the worst violation is within ``tol.bound(max Omega)``, the
+    rounding of sums of entries of that size.
     """
     w = omega.omega
     n = w.shape[0]
@@ -151,7 +153,7 @@ def metric_check(omega: ResistanceMatrix, *, tol: Tolerances = DEFAULT) -> Metri
     return MetricReport(
         nonnegative=nonnegative,
         symmetric=symmetric,
-        triangle_holds=bool(worst <= tol.triangle),
+        triangle_holds=bool(worst <= tol.bound(w.max())),
         worst_triple=(int(i), int(k), int(j)),
         worst_violation=worst,
     )

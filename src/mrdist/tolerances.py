@@ -15,7 +15,8 @@ bounded by ``tol.bound(scale) = identity_relative * max(1, |scale|)``:
       stationary_projection, multiplicative_kirchhoff        max |F|
     group_inverse_row_sums, group_inverse_axioms             max |D|
     random_target_spread, kemeny_constant's guard            t_av
-    representation_*, forest_omega, counterexample Omegas    max Omega
+    representation_*, forest_omega, counterexample Omegas,
+      triangle_inequality, metric_check's triangle_holds     max Omega
     forest_hitting                                           max H
     kirchhoff_vs_kemeny                                      2 n t_av
     additive_lower_bound, additive_upper_bound               the bound
@@ -52,8 +53,7 @@ class Tolerances:
     eigentime: float = 1e-8          # relative to t_av
     eigentime_imag: float = 1e-8
 
-    # resistance metric and sum-rule hypotheses, absolute
-    triangle: float = 1e-10
+    # sum-rule hypotheses, absolute
     pair_hypothesis: float = 1e-10
 
     # Monte Carlo acceptance band, in units of the standard error

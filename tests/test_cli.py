@@ -45,7 +45,7 @@ def walk_checks(node):
 _FOLDED_TOLERANCES = [
     "stationary_residual", "fundamental_residual", "group_inverse_axioms", "random_target",
     "representation_agreement", "kirchhoff", "multiplicative_kirchhoff", "additive_slack",
-    "foster", "forest_pi", "forest_hitting", "forest_omega", "sum_rule_relative",
+    "foster", "forest_pi", "forest_hitting", "forest_omega", "sum_rule_relative", "triangle",
 ]
 
 
@@ -329,6 +329,19 @@ class TestOneStateChain:
         assert out == ""
         assert err.startswith("mrdist: error: no pairs")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["analyze", "--simulate"], ["sumrule"], ["sumrule", "--trials", "0"]],
+        ids=["analyze_simulate", "sumrule", "sumrule_zero_trials"],
+    )
+    def test_vacuous_commands_are_usage_errors(self, capfd, one_state, argv):
+        # no simulated pair, and every sum rule of one state reads 0 = 0
+        code = cli.main([argv[0], one_state, *argv[1:], "--format", "json"])
+        out, err = capfd.readouterr()
+        assert code == EXIT_INPUT_ERROR
+        assert out == ""
+        assert err.startswith("mrdist: error: ")
+
 
 class TestCounterexampleCommand:
     def test_values(self, capsys):
@@ -508,4 +521,25 @@ def test_ergodicity_graph_search_runs_once(capsys, monkeypatch, ce_file, argv):
         chain, "_bfs_levels", lambda *args: walks.append(args) or bfs_levels(*args)
     )
     assert cli.main([argv[0], ce_file, *argv[1:]]) == EXIT_OK
-    assert len(walks) == 1
+    # one verdict walks the arcs forward and then backward from state 0
+    assert len(walks) == 2
+    forward, backward = (arcs for arcs, _ in walks)
+    assert np.array_equal(forward.T, backward)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    ["0,1\n1,0\n", "0,1,0\n0,0,1\n1,0,0\n", "1,0\n0,1\n"],
+    ids=["period_2", "period_3", "reducible"],
+)
+def test_not_ergodic_message_is_shared(capsys, tmp_path, rows):
+    path = tmp_path / "chain.csv"
+    path.write_text(rows)
+    errors = []
+    for argv in (["analyze"], ["sumrule"], ["forest-verify"], ["simulate"]):
+        code, rep = run_json(capsys, argv[0], str(path), *argv[1:])
+        assert code == EXIT_INPUT_ERROR
+        assert rep["error"]["type"] == "NotErgodicError"
+        errors.append(rep["error"]["message"])
+    assert errors[0].startswith("chain is not ergodic (strongly_connected=")
+    assert errors == errors[:1] * 4

@@ -112,6 +112,8 @@ class TestLuSolveStack:
         (np.ones((2, 3, 3)), np.ones((3, 3))),  # rhs for three systems
         (np.ones((2, 3, 3)), np.ones((2, 4))),  # rhs rows
         (np.ones((2, 3, 3)), np.ones(3)),  # rhs not stacked
+        (np.ones(1), np.ones(1)),  # a vector is not a matrix
+        (np.ones((1, 1, 2, 2)), np.ones((1, 1, 2))),  # a stack of stacks
     ])
     def test_shape_mismatch(self, a, b):
         with pytest.raises(NotSquareError):

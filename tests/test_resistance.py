@@ -111,7 +111,7 @@ def ref_metric_check(omega, *, tol=DEFAULT):
     return resistance.MetricReport(
         nonnegative=nonnegative,
         symmetric=symmetric,
-        triangle_holds=bool(worst <= tol.triangle),
+        triangle_holds=bool(worst <= tol.bound(w.max())),
         worst_triple=(int(i), int(k), int(j)),
         worst_violation=worst,
     )

@@ -88,7 +88,9 @@ def test_doubly_stochastic_bounds_follow_their_scales(capsys, tmp_path):
         DEFAULT.bound(max_omega), rel=1e-12
     )
     assert checks["foster_first_formula"]["tolerance"] == DEFAULT.bound(2 * (3 - 1))
-    assert checks["triangle_inequality"]["tolerance"] == DEFAULT.triangle
+    assert checks["triangle_inequality"]["tolerance"] == pytest.approx(
+        DEFAULT.bound(max_omega), rel=1e-12
+    )
 
 
 # Valid slow-mixing chains whose rounding is small for the size of what the
@@ -101,6 +103,21 @@ def test_two_state_chain_at_1e_4_passes(capsys, tmp_path):
     code, rep = run_json(capsys, "analyze", str(path))
     assert code == EXIT_OK
     assert rep["checks"]["forest_hitting"]["pass"] is True
+
+
+def test_slow_path_chain_keeps_the_triangle_inequality(capsys, tmp_path):
+    # doubly stochastic, so Omega is a metric; the worst violation, 3.6e-9,
+    # is rounding on Omega up to 1.5e4 and failed an absolute 1e-10
+    n, p = 16, 1e-3
+    P = np.diag(np.full(n - 1, p), 1) + np.diag(np.full(n - 1, p), -1)
+    P += np.diag(1.0 - P.sum(axis=1))
+    path = tmp_path / "path.csv"
+    path.write_text("".join(",".join(map(repr, row)) + "\n" for row in P.tolist()))
+    _, rep = run_json(capsys, "analyze", str(path))
+    assert rep["ergodicity"]["is_doubly_stochastic"] is True
+    assert rep["metric"]["triangle_holds"] is True
+    assert rep["checks"]["triangle_inequality"]["pass"] is True
+    assert rep["metric"]["worst_violation"] > 1e-10
 
 
 @pytest.fixture
