@@ -159,25 +159,35 @@ def metric_check(omega: ResistanceMatrix, *, tol: Tolerances = DEFAULT) -> Metri
     )
 
 
-def _check_pair(pair: SumRulePair, n: int, tol: Tolerances) -> np.ndarray:
-    """Validate the sum-rule hypotheses; return A = M(K - I)."""
+def _check_pair(
+    pair: SumRulePair, n: int, tol: Tolerances
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validate the sum-rule hypotheses of a pair or a stack of pairs.
+
+    Returns the (k, n, n) stacks M, K and A = M(K - I); a 2-D pair is a
+    stack of one. The error names the first pair, in stack order, that
+    fails either hypothesis, with that pair's value.
+    """
     M, K = np.asarray(pair.M, dtype=float), np.asarray(pair.K, dtype=float)
-    if M.shape != (n, n) or K.shape != (n, n):
+    if M.ndim not in (2, 3) or M.shape[-2:] != (n, n) or K.shape != M.shape:
         raise HypothesisViolatedError(
             f"pair shapes {M.shape}, {K.shape} do not match chain size {n}"
         )
-    row_dev = np.abs(K.sum(axis=1) - 1.0).max()
-    if row_dev > tol.pair_hypothesis:
-        raise HypothesisViolatedError(
-            f"K row sums deviate from 1 by {row_dev:.3e}"
-        )
+    M, K = M.reshape(-1, n, n), K.reshape(-1, n, n)
+    row_dev = np.abs(K.sum(axis=2) - 1.0).max(axis=1)
     A = M @ (K - np.eye(n))
-    asym = np.abs(A - A.T).max()
-    if asym > tol.pair_hypothesis:
+    asym = np.abs(A - A.transpose(0, 2, 1)).max(axis=(1, 2))
+    failed = np.flatnonzero((row_dev > tol.pair_hypothesis) | (asym > tol.pair_hypothesis))
+    if failed.size:
+        first = failed[0]
+        if row_dev[first] > tol.pair_hypothesis:
+            raise HypothesisViolatedError(
+                f"K row sums deviate from 1 by {row_dev[first]:.3e}"
+            )
         raise HypothesisViolatedError(
-            f"M(K - I) asymmetric by {asym:.3e}"
+            f"M(K - I) asymmetric by {asym[first]:.3e}"
         )
-    return A
+    return M, K, A
 
 
 def sum_rule(
@@ -186,60 +196,93 @@ def sum_rule(
     F: np.ndarray,
     *,
     tol: Tolerances = DEFAULT,
-) -> tuple[float, float]:
+) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """Both sides of the generalized sum rule, computed independently.
+
+    ``pair`` holds one (n, n) pair or a stack of k, as (k, n, n) M and K.
+    Each pair of a stack gets the arithmetic it would get alone.
 
     Returns
     -------
-    (lhs, rhs) : tuple of float
+    (lhs, rhs) : tuple of float, or of (k,) ndarray for a stack
         lhs = sum_{i,j} (M(K - I))[i, j] Omega[i, j],
         rhs = 2 Tr(M(I - K)F).
 
     Raises
     ------
     HypothesisViolatedError
-        If K's row sums or the symmetry of M(K - I) are out of tolerance.
+        If K's row sums or the symmetry of M(K - I) are out of tolerance,
+        naming the first failing pair of a stack.
     """
     n = omega.n
     F = np.asarray(F, dtype=float)
-    A = _check_pair(pair, n, tol)
-    lhs = float((A * omega.omega).sum())
-    rhs = float(2.0 * np.trace(pair.M @ (np.eye(n) - pair.K) @ F))
+    M, K, A = _check_pair(pair, n, tol)
+    lhs = (A * omega.omega).sum(axis=(1, 2))
+    rhs = 2.0 * np.trace(M @ (np.eye(n) - K) @ F, axis1=1, axis2=2)
+    if np.ndim(pair.M) == 2:
+        return float(lhs[0]), float(rhs[0])
     return lhs, rhs
 
 
-def make_sum_rule_pair(n: int, seed: int, *, tol: Tolerances = DEFAULT) -> SumRulePair:
+def _pair_inputs(n: int, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """The (k, n, n) stacks A and M drawn from each seed's generator."""
+    draws = np.empty((len(seeds), 2, n, n))
+    for out, seed in zip(draws, seeds):
+        np.random.default_rng(seed).standard_normal(out=out)
+    b, m = draws[:, 0], draws[:, 1]
+    a = b + b.transpose(0, 2, 1)
+    r = a.sum(axis=2)
+    total = a.sum(axis=(1, 2))
+    a = a - r[:, :, None] / n - r[:, None, :] / n + (total / n**2)[:, None, None]
+    d = np.arange(n)
+    m[:, d, d] += np.abs(m).sum(axis=2) + 1.0
+    return a, m
+
+
+def make_sum_rule_pair(n: int, seed, *, tol: Tolerances = DEFAULT) -> SumRulePair:
     """Random (M, K) satisfying both sum-rule hypotheses by construction.
 
     Draws a symmetric A = B + B^T, double-centers it so its row and column
     sums vanish (which preserves symmetry), draws a diagonally dominant
     (hence invertible) M, and sets K = I + M^{-1} A. Then K 1 = 1 and
-    M(K - I) = A is symmetric. Deterministic per seed; a singular M is
-    regenerated with the next seed, up to 16 attempts.
+    M(K - I) = A is symmetric. B and then M come from
+    ``default_rng(seed)``, so a pair is deterministic per seed.
+
+    ``seed`` is an int, giving (n, n) M and K, or a sequence of k seeds,
+    giving (k, n, n) stacks whose trial t is the pair of ``seed[t]``; every
+    trial is built and solved in one stack. A trial whose M fails the pivot
+    check is redrawn, alone, from ``seed[t] + attempt``, up to 16 attempts;
+    the SingularMatrixError for a trial that runs out of them has that
+    trial's position as its ``index``.
     """
     if n < 2:
         raise ValueError(f"pair generation needs n >= 2, got {n}")
-    last_exc: SingularMatrixError | None = None
-    for attempt in range(16):
-        rng = np.random.default_rng(seed + attempt)
-        b = rng.standard_normal((n, n))
-        a = b + b.T
-        r = a.sum(axis=1)
-        total = a.sum()
-        a = a - r[:, None] / n - r[None, :] / n + total / n**2
-        m = rng.standard_normal((n, n))
-        m = m + np.diag(np.abs(m).sum(axis=1) + 1.0)
+    single = np.ndim(seed) == 0
+    seeds = [seed] if single else list(seed)
+    a, m = _pair_inputs(n, seeds)
+    x = np.empty_like(a)
+    attempts = [0] * len(seeds)
+    solved = 0  # trials before this one passed the pivot check
+    while True:
         try:
-            k = np.eye(n) + linalg.lu_solve(m, a, tol=tol)
+            x[solved:] = linalg.lu_solve(m[solved:], a[solved:], tol=tol)
+            break
         except SingularMatrixError as exc:
-            last_exc = exc
-            continue
-        m.setflags(write=False)
-        k.setflags(write=False)
-        return SumRulePair(M=m, K=k)
-    raise SingularMatrixError(
-        f"no invertible M found in 16 attempts from seed {seed}"
-    ) from last_exc
+            bad = solved + exc.index
+            x[solved:bad] = linalg.lu_solve(m[solved:bad], a[solved:bad], tol=tol)
+            attempts[bad] += 1
+            if attempts[bad] == 16:
+                raise SingularMatrixError(
+                    f"no invertible M found in 16 attempts from seed {seeds[bad]}", bad
+                ) from exc
+            a[bad:bad + 1], m[bad:bad + 1] = _pair_inputs(n, [seeds[bad] + attempts[bad]])
+            solved = bad
+    k = np.eye(n) + x
+    if single:
+        m, k = m[0], k[0]
+    m.setflags(write=False)
+    k.setflags(write=False)
+    return SumRulePair(M=m, K=k)
 
 
 def kirchhoff_indices(

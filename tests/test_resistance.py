@@ -1,12 +1,16 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from mrdist import chain, cli, resistance
+from mrdist import chain, cli, linalg, resistance
 from mrdist.errors import (
     HypothesisViolatedError,
+    MRDistError,
     NotDoublyStochasticError,
     NotReversibleError,
+    SingularMatrixError,
 )
 from mrdist.tolerances import DEFAULT
 
@@ -133,6 +137,41 @@ def test_metric_check_matches_two_temporary_scan():
             assert resistance.metric_check(w) == ref_metric_check(w), name
 
 
+def ref_make_sum_rule_pair(n, seed, *, tol=DEFAULT):
+    """One 2-D pair built on its own, as it was before pairs were stacked."""
+    for attempt in range(16):
+        rng = np.random.default_rng(seed + attempt)
+        b = rng.standard_normal((n, n))
+        a = b + b.T
+        r = a.sum(axis=1)
+        total = a.sum()
+        a = a - r[:, None] / n - r[None, :] / n + total / n**2
+        m = rng.standard_normal((n, n))
+        m = m + np.diag(np.abs(m).sum(axis=1) + 1.0)
+        try:
+            return resistance.SumRulePair(M=m, K=np.eye(n) + linalg.lu_solve(m, a, tol=tol))
+        except SingularMatrixError:
+            continue
+    raise SingularMatrixError(f"no invertible M found in 16 attempts from seed {seed}")
+
+
+def ref_sum_rule(pair, omega, F, *, tol=DEFAULT):
+    """Both sides for one 2-D pair, as it was before pairs were stacked."""
+    n = omega.n
+    M, K = pair.M, pair.K
+    row_dev = np.abs(K.sum(axis=1) - 1.0).max()
+    if row_dev > tol.pair_hypothesis:
+        raise HypothesisViolatedError(f"K row sums deviate from 1 by {row_dev:.3e}")
+    A = M @ (K - np.eye(n))
+    asym = np.abs(A - A.T).max()
+    if asym > tol.pair_hypothesis:
+        raise HypothesisViolatedError(f"M(K - I) asymmetric by {asym:.3e}")
+    return float((A * omega.omega).sum()), float(2.0 * np.trace(M @ (np.eye(n) - K) @ F))
+
+
+STACK_SIZES = (2, 3, 4, 8, 9, 17, 33, 64)
+
+
 class TestSumRule:
     def test_stationary_pair_equals_multiplicative_index(self, ce):
         analysis, om = _full(ce.chain)
@@ -176,6 +215,90 @@ class TestSumRule:
         with pytest.raises(HypothesisViolatedError):
             resistance.sum_rule(bad, om, analysis.F)
 
+    @pytest.mark.parametrize("n", STACK_SIZES)
+    def test_stack_matches_one_at_a_time(self, n):
+        mat = chain.generate_random_chain(n, "ergodic", n)
+        analysis, om = _full(mat)
+        seeds = range(100 * n, 100 * n + 12)
+        lhs, rhs = resistance.sum_rule(
+            resistance.make_sum_rule_pair(n, seeds), om, analysis.F
+        )
+        assert lhs.shape == rhs.shape == (12,)
+        for t, seed in enumerate(seeds):
+            ref = ref_sum_rule(ref_make_sum_rule_pair(n, seed), om, analysis.F)
+            assert (lhs[t], rhs[t]) == ref
+            assert resistance.sum_rule(resistance.make_sum_rule_pair(n, seed), om, analysis.F) == ref
+
+    @pytest.mark.parametrize(
+        "defects, message",
+        [
+            # (kind, size) per pair of the stack; the first failing pair names
+            # the error, not the largest defect
+            ((None, ("asym", 3e-10), ("asym", 5e-10), ("row", 1e-9)),
+             "M(K - I) asymmetric by 3.000e-10"),
+            ((None, None, ("row", 2e-10), ("asym", 5e-10)),
+             "K row sums deviate from 1 by 2.000e-10"),
+            ((("asym", 4e-10), ("row", 1e-9)), "M(K - I) asymmetric by 4.000e-10"),
+        ],
+    )
+    def test_first_failing_pair_names_the_error(self, ce, defects, message):
+        analysis, om = _full(ce.chain)
+        Ks = []
+        for kind, size in (d or (None, 0.0) for d in defects):
+            K = np.eye(3)
+            if kind == "asym":
+                # M = I, so M(K - I) = K - I: zero row sums, asymmetric by size
+                K[0, 0] -= size
+                K[0, 1] += size
+            elif kind == "row":
+                K *= 1.0 + size
+            Ks.append(K)
+        pair = resistance.SumRulePair(M=np.stack([np.eye(3)] * len(Ks)), K=np.stack(Ks))
+        with pytest.raises(HypothesisViolatedError, match=re.escape(message)):
+            resistance.sum_rule(pair, om, analysis.F)
+
+    def test_empty_stack(self, ce):
+        analysis, om = _full(ce.chain)
+        pair = resistance.make_sum_rule_pair(3, [])
+        assert pair.M.shape == pair.K.shape == (0, 3, 3)
+        lhs, rhs = resistance.sum_rule(pair, om, analysis.F)
+        assert lhs.shape == rhs.shape == (0,)
+        lhs, rhs = cli._random_pair_sides(3, range(5, 5), om, analysis.F, DEFAULT)
+        assert lhs.shape == rhs.shape == (0,)
+
+    @pytest.mark.parametrize("block_entries", [2**14, 36, 45])
+    @pytest.mark.parametrize(
+        "pivot, pair_hypothesis",
+        [
+            (1e-13, 1e-10),  # every trial passes
+            (1e-13, 6e-16),  # trial 6 is the first to fail a hypothesis
+            (1e-13, 4e-16),  # trial 2, on its row sums
+            (2.0, 4e-16),    # trial 4, on symmetry, after redrawn trials
+            (3.5, 1e-10),    # trial 36 runs out of attempts
+            (3.5, 4e-16),    # trial 0 fails a hypothesis before trial 36 runs out
+        ],
+    )
+    def test_random_trials_match_one_at_a_time(
+        self, monkeypatch, block_entries, pivot, pair_hypothesis
+    ):
+        monkeypatch.setattr(cli, "_PAIR_BLOCK_ENTRIES", block_entries)
+        mat = chain.generate_random_chain(3, "ergodic", 3)
+        analysis, om = _full(mat)
+        tol = DEFAULT.override(pivot=pivot, pair_hypothesis=pair_hypothesis)
+        expected = []
+        try:
+            for seed in range(40):
+                pair = ref_make_sum_rule_pair(3, seed, tol=tol)
+                expected.append(ref_sum_rule(pair, om, analysis.F, tol=tol))
+        except MRDistError as exc:
+            expected = (type(exc), str(exc))
+        try:
+            lhs, rhs = cli._random_pair_sides(3, range(40), om, analysis.F, tol)
+        except MRDistError as exc:
+            assert (type(exc), str(exc)) == expected
+        else:
+            assert list(zip(lhs.tolist(), rhs.tolist())) == expected
+
 
 class TestMakeSumRulePair:
     def test_invariants_over_seeds(self):
@@ -195,6 +318,38 @@ class TestMakeSumRulePair:
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
             resistance.make_sum_rule_pair(1, 0)
+
+    @pytest.mark.parametrize("n", STACK_SIZES)
+    def test_stack_matches_one_at_a_time(self, n):
+        seeds = range(100 * n, 100 * n + 12)
+        pair = resistance.make_sum_rule_pair(n, seeds)
+        assert pair.M.shape == pair.K.shape == (12, n, n)
+        for t, seed in enumerate(seeds):
+            ref = ref_make_sum_rule_pair(n, seed)
+            assert np.array_equal(pair.M[t], ref.M) and np.array_equal(pair.K[t], ref.K)
+            one = resistance.make_sum_rule_pair(n, seed)
+            assert np.array_equal(one.M, ref.M) and np.array_equal(one.K, ref.K)
+
+    def test_pivot_failures_redraw_only_their_trials(self):
+        # at pivot 2.0 the first draw of seeds 1, 2, 7 and 11 fails, the rest pass
+        tol = DEFAULT.override(pivot=2.0)
+        seeds = range(12)
+        pair = resistance.make_sum_rule_pair(3, seeds, tol=tol)
+        plain = resistance.make_sum_rule_pair(3, seeds)
+        redrawn = [t for t in seeds if not np.array_equal(pair.M[t], plain.M[t])]
+        assert redrawn == [1, 2, 7, 11]
+        for t, seed in enumerate(seeds):
+            ref = ref_make_sum_rule_pair(3, seed, tol=tol)
+            assert np.array_equal(pair.M[t], ref.M) and np.array_equal(pair.K[t], ref.K)
+
+    def test_trial_out_of_attempts_names_its_seed(self):
+        tol = DEFAULT.override(pivot=3.5)
+        with pytest.raises(SingularMatrixError, match="from seed 36$") as info:
+            resistance.make_sum_rule_pair(3, range(40), tol=tol)
+        assert info.value.index == 36
+        with pytest.raises(SingularMatrixError, match="from seed 36$") as info:
+            resistance.make_sum_rule_pair(3, range(30, 40), tol=tol)
+        assert info.value.index == 6
 
 
 class TestKirchhoffIndices:

@@ -160,8 +160,8 @@ def command_lines() -> list[tuple[list[str], dict]]:
         name = _gen_name(n, kind, seed)
         add("generate", str(n), kind, name, "--seed", str(seed))
         both("analyze", name)
-        if n <= 16:
-            both("sumrule", name, "--trials", "20", "--seed", str(seed))
+        # at n = 32 and 64, 20 trials take more than one stack and fewer than all
+        both("sumrule", name, "--trials", "20", "--seed", str(seed))
         if n <= 8:
             both("forest-verify", name)
         if n <= 5:
@@ -192,6 +192,13 @@ def command_lines() -> list[tuple[list[str], dict]]:
     add("simulate", "ce.csv", "--pairs", "all", "--replicas", "400", "--format", "json",
         env={"MR_SEED": "12"})
     add("sumrule", "ce.csv", "--trials", "0", "--format", "json")
+    # a hypothesis error names the first failing trial: at pair_hypothesis =
+    # 3e-16 trial 0 of ergodic_3_s0 passes and trial 2 fails, at 5e-16 trial 6
+    for name in ("ce.csv", "ergodic_3_s0.json", "ergodic_5_s0.json"):
+        both("sumrule", name, "--tolerance", "pair_hypothesis=0")
+    for value in ("3e-16", "5e-16"):
+        both("sumrule", "ergodic_3_s0.json", "--trials", "20",
+             "--tolerance", f"pair_hypothesis={value}")
     add("sumrule", "ce.csv", "--format", "json", env={"MR_SEED": "8"})
     return cases
 
