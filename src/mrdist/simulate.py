@@ -5,11 +5,14 @@ Each leg E_start(tau_target) draws from one Philox stream, keyed by
 bit-for-bit reproducible and does not depend on which other legs run.
 Replicas are independent and identically distributed, so a leg tracks how
 many of them sit in each state, not where each one is: a step moves the
-counts of every occupied state with one multinomial draw, and the count that
-lands on the target is recorded and removed. The per-step hit counts have
-the law of the histogram of the replicas' hitting times, so the mean and
-standard error are those of the per-replica sample, at O(steps * n^2) cost
-whatever the replica count.
+count of each occupied state by a multinomial draw over its row, and the
+count that lands on the target is recorded and removed. While few states are
+occupied each row is drawn by its own call, in ascending state order;
+otherwise one call draws the stacked rows, which numpy does row by row in the
+same order, so both forms give the same draws from the same stream. The
+per-step hit counts have the law of the histogram of the replicas' hitting
+times, so the mean and standard error are those of the per-replica sample.
+A step costs O(occupied * n), at most O(n^2), whatever the replica count.
 
 The combined resistance estimator follows the mean-hitting-time form
 
@@ -22,6 +25,7 @@ combined in quadrature.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,11 +34,21 @@ from .chain import StochasticMatrix
 from .errors import MaxStepsExceededError, NotErgodicError
 
 MIN_REPLICAS = 100  # below this no statistical assertion is meaningful
+MAX_REPLICAS = 2**63 - 1  # the state counts are int64
+
+# A step with at most this many occupied rows is drawn by one 1-D multinomial
+# call per row, otherwise by one call over the stacked rows. Both consume the
+# Philox stream alike: numpy draws a 2-D multinomial row by row, with the same
+# binomial routine. A stacked call costs 15-25 us even for one row, a 1-D call
+# 2-9 us. Per step, the row form wins through 5 occupied rows on dense and
+# birth-death chains at n = 8-64 and ties the stacked one at 6-8 (timeit, 2-vCPU
+# Xeon VM); the benchmark's Monte Carlo legs run fastest switching at 5.
+ROW_DRAW_MAX_OCCUPIED = 5
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation parameters; replicas must be at least 100."""
+    """Simulation parameters; replicas must lie in [100, 2**63 - 1]."""
 
     seed: int
     replicas: int = 100_000
@@ -43,6 +57,8 @@ class SimConfig:
     def __post_init__(self):
         if self.replicas < MIN_REPLICAS:
             raise ValueError(f"replicas must be >= {MIN_REPLICAS}, got {self.replicas}")
+        if self.replicas > MAX_REPLICAS:
+            raise ValueError(f"replicas must be <= {MAX_REPLICAS}, got {self.replicas}")
         if self.max_steps_per_replica < 1:
             raise ValueError("max_steps_per_replica must be positive")
 
@@ -90,7 +106,8 @@ def simulate_hitting(
 
     steps, hits = _first_passage_counts(chain.P, start, target, cfg)
     n_rep = cfg.replicas
-    mean = float(steps @ hits) / n_rep
+    # sum(steps * hits) passes 2**63 at 1e18 replicas: sum it in Python ints
+    mean = sum(map(operator.mul, steps.tolist(), hits.tolist())) / n_rep
     dev = steps - mean
     std = math.sqrt(float(hits @ (dev * dev)) / (n_rep - 1))
     return HittingEstimate(mean, std / math.sqrt(n_rep), n_rep)
@@ -109,7 +126,9 @@ def _first_passage_counts(
     # multinomial rejects. So each row's cumulative probabilities are cut at
     # 1, and multinomial gives the last state whatever rounding gap is left.
     pvals = np.diff(np.minimum(np.cumsum(P, axis=1), 1.0), axis=1, prepend=0.0)
-    rng = np.random.Generator(np.random.Philox(key=_leg_key(cfg.seed, start, target)))
+    multinomial = np.random.Generator(
+        np.random.Philox(key=_leg_key(cfg.seed, start, target))
+    ).multinomial
     counts = np.zeros(len(P), dtype=np.int64)
     counts[start] = cfg.replicas
     occupied = np.array([start])
@@ -121,13 +140,20 @@ def _first_passage_counts(
                 f"{counts.sum()} replicas still running at the "
                 f"{cfg.max_steps_per_replica}-step cap"
             )
-        counts = rng.multinomial(counts[occupied], pvals[occupied]).sum(axis=0)
+        if occupied.size <= ROW_DRAW_MAX_OCCUPIED:
+            first, *rest = occupied.tolist()
+            row_counts = counts.tolist()
+            counts = multinomial(row_counts[first], pvals[first])
+            for s in rest:
+                counts += multinomial(row_counts[s], pvals[s])
+        else:
+            counts = multinomial(counts[occupied], pvals[occupied]).sum(axis=0)
         step += 1
         if counts[target]:
             steps.append(step)
             hits.append(int(counts[target]))
             counts[target] = 0
-        occupied = np.flatnonzero(counts)
+        occupied = counts.nonzero()[0]
     return np.array(steps, dtype=np.int64), np.array(hits, dtype=np.int64)
 
 

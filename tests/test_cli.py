@@ -291,6 +291,17 @@ class TestSimulateCommand:
             assert out == ""
             assert err.startswith("mrdist: error: ") and "'2,2'" in err
 
+    @pytest.mark.parametrize("replicas", ["9223372036854775808", "10000000000000000000"])
+    def test_replicas_past_int64_is_an_input_error(self, capsys, ce_file, replicas):
+        for argv in (["simulate"], ["analyze", "--simulate"]):
+            code, rep = run_json(capsys, argv[0], ce_file, *argv[1:], "--pairs", "1,3",
+                                 "--replicas", replicas)
+            assert code == EXIT_INPUT_ERROR
+            assert rep["error"] == {
+                "type": "ValueError",
+                "message": f"replicas must be <= 9223372036854775807, got {replicas}",
+            }
+
     def test_unknown_label(self, capsys, ce_file):
         code = cli.main(["simulate", ce_file, "--pairs", "1,9"])
         assert code == EXIT_INPUT_ERROR

@@ -1,3 +1,7 @@
+import contextlib
+import hashlib
+import io
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -19,6 +23,13 @@ class TestSimConfig:
     def test_bad_step_cap(self):
         with pytest.raises(ValueError):
             simulate.SimConfig(seed=0, max_steps_per_replica=0)
+
+    def test_replicas_up_to_int64_max(self):
+        # the state counts are int64, so 2**63 replicas cannot be counted
+        assert simulate.SimConfig(seed=0, replicas=2**63 - 1).replicas == 2**63 - 1
+        for replicas in (2**63, 10**19):
+            with pytest.raises(ValueError, match="replicas must be <= 9223372036854775807"):
+                simulate.SimConfig(seed=0, replicas=replicas)
 
 
 class TestSimulateHitting:
@@ -74,23 +85,30 @@ class TestSimulateHitting:
         with pytest.raises(MaxStepsExceededError, match="100 replicas still running"):
             simulate.simulate_hitting(mat, 2, 0, cfg)
 
-    @pytest.mark.parametrize(
-        "rows",
-        [
-            # row 0's first two entries sum past 1 + 1e-12, which multinomial
-            # rejects; the cut at 1 leaves 0 -> 2 at zero
-            [[0.5, 0.5 + 1e-9, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]],
-            # row 1 falls 1e-9 short of 1, and the last state takes the gap
-            [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5 - 1e-9], [0.5, 0.0, 0.5]],
-        ],
-        ids=["past_one", "short_of_one"],
-    )
+    UNNORMALISED = [
+        # row 0's first two entries sum past 1 + 1e-12, which multinomial
+        # rejects; the cut at 1 leaves 0 -> 2 at zero
+        [[0.5, 0.5 + 1e-9, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]],
+        # row 1 falls 1e-9 short of 1, and the last state takes the gap
+        [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5 - 1e-9], [0.5, 0.0, 0.5]],
+    ]
+
+    @pytest.mark.parametrize("rows", UNNORMALISED, ids=["past_one", "short_of_one"])
     def test_unnormalised_rows_simulate(self, rows):
         # built without validate(), so no row is renormalised; read as
         # (1/2, 1/2, 0), (0, 1/2, 1/2), (1/2, 0, 1/2) the chain has E_0(tau_2) = 4
         mat = chain.StochasticMatrix(np.array(rows))
         est = simulate.simulate_hitting(mat, 0, 2, simulate.SimConfig(seed=3, replicas=20_000))
         assert abs(est.mean - 4.0) <= 4.0 * est.std_error
+
+    @pytest.mark.parametrize("replicas", [10**18, 2**63 - 1])
+    def test_replica_count_near_int64_max(self, ce, replicas):
+        # sum(steps * hits) is about 20 * replicas, far past 2**63
+        pi = chain.stationary(ce.chain)
+        est = simulate.estimate_omega(ce.chain, 0, 2, pi, simulate.SimConfig(seed=0, replicas=replicas))
+        assert est.replicas_used == replicas
+        assert abs(est.mean - 20.0) <= 4.0 * est.std_error
+        assert 0.0 < est.std_error < 1e-7
 
     def test_requires_ergodic(self):
         swap = chain.validate([[0.0, 1.0], [1.0, 0.0]])
@@ -181,3 +199,64 @@ class TestEstimateOmega:
             est = simulate.estimate_omega(ce.chain, 0, 2, pi, cfg)
             hits += abs(est.mean - 20.0) <= 4.0 * est.std_error
         assert hits >= 19
+
+
+class TestDrawForms:
+    """Per-row and stacked draws give every leg the same (steps, hits)."""
+
+    @staticmethod
+    def leg(monkeypatch, switch, P, start, target, cfg):
+        monkeypatch.setattr(simulate, "ROW_DRAW_MAX_OCCUPIED", switch)
+        try:
+            steps, hits = simulate._first_passage_counts(P, start, target, cfg)
+        except MaxStepsExceededError as exc:
+            return str(exc)
+        assert steps.dtype == hits.dtype == np.int64
+        return steps.tolist(), hits.tolist()
+
+    def same_by_both_forms(self, monkeypatch, P, start, target, cfg):
+        stacked = self.leg(monkeypatch, 0, P, start, target, cfg)
+        by_row = self.leg(monkeypatch, len(P), P, start, target, cfg)
+        assert stacked == by_row
+        return stacked
+
+    @pytest.mark.parametrize("n", [3, 8, 16, 33])
+    @pytest.mark.parametrize("kind", ["ergodic", "reversible", "doubly_stochastic", "birth_death"])
+    def test_generated_chains(self, monkeypatch, kind, n):
+        for seed in range(3):
+            P = chain.generate_random_chain(n, kind, seed).P
+            # a leg cut at 400 steps, finished or not
+            cfg = simulate.SimConfig(seed=seed, replicas=1_000, max_steps_per_replica=400)
+            self.same_by_both_forms(monkeypatch, P, 0, n - 1, cfg)
+            # a leg that surely hits the cap, with up to n rows occupied
+            cfg = simulate.SimConfig(seed=seed, replicas=10**6, max_steps_per_replica=6)
+            error = self.same_by_both_forms(monkeypatch, P, n - 1, 0, cfg)
+            assert error.endswith("replicas still running at the 6-step cap")
+
+    @pytest.mark.parametrize("rows", TestSimulateHitting.UNNORMALISED, ids=["past_one", "short_of_one"])
+    def test_unnormalised_rows(self, monkeypatch, rows):
+        for seed in range(3):
+            cfg = simulate.SimConfig(seed=seed, replicas=20_000)
+            self.same_by_both_forms(monkeypatch, np.array(rows), 0, 2, cfg)
+
+    # sha256 of steps then hits as little-endian int64, recorded when every
+    # step was one stacked draw: any change of draw order fails here
+    PINNED = {
+        "counterexample 2->3": "d562cfcdbb4304661adf6d89c78f744a9f1ae7cf27210cdf03457f22d17fe956",
+        "generate 8 ergodic --seed 3, 3->6":
+            "0c5c111c1eeec3a5e9e4cdf8f906be0b44ba909b10d701782d43cf7a58b9427e",
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_pinned_legs(self, tmp_path, name):
+        if name.startswith("counterexample"):
+            mat, start, target = cli.counterexample_chain(), 1, 2
+        else:
+            path = str(tmp_path / "g8.json")
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["generate", "8", "ergodic", path, "--seed", "3"]) == 0
+            mat, start, target = cli.load_chain(path), 2, 5
+        cfg = simulate.SimConfig(seed=20_260_808, replicas=100_000)
+        steps, hits = simulate._first_passage_counts(mat.P, start, target, cfg)
+        digest = hashlib.sha256(np.concatenate([steps, hits]).astype("<i8").tobytes())
+        assert digest.hexdigest() == self.PINNED[name]

@@ -10,12 +10,14 @@ hand-made chain files with the standard library, makes the generated ones
 with the ``generate`` subcommand (itself a recorded case), and runs every
 command from inside one scratch directory, so the file names in reports are
 relative and two captures of one version are byte-identical. Each case
-records the exit code, stdout and stderr of ``mrdist.cli.main``; library
-cases record the result or the exception of a direct ``linalg.lu_solve``
-call.
+records the exit code, stdout and stderr of ``mrdist.cli.main``, or the
+exception that escapes it; library cases record the result or the exception
+of a direct ``linalg.lu_solve`` call.
 
 The command lines cover every subcommand in human and JSON output, input
-and usage errors, non-ergodic and one-state chains, and every ``--help``.
+and usage errors, non-ergodic and one-state chains, Monte Carlo legs on
+n = 16 chains and replica counts near and past the int64 range, and every
+``--help``.
 
 ``diff`` prints the name of each case whose record differs, with the first
 differing lines, then a count of identical and differing cases. It exits 0
@@ -200,6 +202,14 @@ def command_lines() -> list[tuple[list[str], dict]]:
         both("sumrule", "ergodic_3_s0.json", "--trials", "20",
              "--tolerance", f"pair_hypothesis={value}")
     add("sumrule", "ce.csv", "--format", "json", env={"MR_SEED": "8"})
+    # Monte Carlo legs that draw both per row and stacked
+    for kind in ("ergodic", "birth_death"):
+        name = _gen_name(16, kind, 0)
+        both("simulate", name, "--pairs", "1,16", "--replicas", "2000")
+        both("analyze", name, "--simulate", "--pairs", "1,16", "--replicas", "2000")
+    # replicas whose step sum passes int64, and replicas past int64 itself
+    for replicas in ("1000000000000000000", "10000000000000000000"):
+        add("simulate", "ce.csv", "--pairs", "1,3", "--replicas", replicas)
     return cases
 
 
@@ -247,6 +257,8 @@ def _run_main(cli, argv: list[str], env: dict) -> dict:
             code = cli.main(argv)
         except SystemExit as exc:  # --help and --version
             code = exc.code
+        except Exception as exc:  # an escaped exception is the record
+            return {"raises": f"{type(exc).__name__}: {exc}", "stdout": out.getvalue()}
     return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
