@@ -150,7 +150,7 @@ def validate(
     if (dev > tol.row_sum_reject).any():
         i = int(np.argmax(dev))
         raise RowSumOutOfToleranceError(
-            f"row {i} sums to {sums[i]!r}, off by more than {tol.row_sum_reject:.1e}"
+            f"row {i} sums to {float(sums[i])!r}, off by more than {tol.row_sum_reject:.1e}"
         )
     arr = arr / sums[:, None]
     labels = None

@@ -111,8 +111,11 @@ def save_chain(path: str, mat: chain.StochasticMatrix) -> None:
         text = "\n".join(lines) + "\n"
     else:
         text = dumps_json({"states": _labels(mat), "P": mat.P}) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

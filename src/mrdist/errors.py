@@ -79,4 +79,4 @@ class MaxStepsExceededError(MRDistError):
 
 
 class ParseError(MRDistError):
-    """Chain file could not be parsed."""
+    """Chain file could not be read, parsed or written."""

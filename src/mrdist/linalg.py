@@ -1,19 +1,32 @@
 r"""Dense real-matrix kernel for desk-scale problems (n <= 64).
 
 Contract-enforcing wrappers around LAPACK via numpy/scipy: LU solves with
-partial pivoting (``dgetrf``/``dgetrs``, called directly rather than through
-``scipy.linalg``'s warning and array-API wrappers) and an explicit
-pivot-threshold singularity check, for a stack of equal-size matrices
-validated once and factored one by one (one matrix is a stack of one);
-matrix inverse; the full complex spectrum (Hessenberg reduction plus shifted
-QR, as implemented by ``dgeev``); integer matrix powers by repeated
-squaring; and the trace. All functions treat their inputs as immutable.
+partial pivoting (``dgetrf``/``dgetrs``) and an explicit pivot-threshold
+singularity check, for a stack of equal-size matrices validated once and
+factored one by one (one matrix is a stack of one); matrix inverse; the full
+complex spectrum (Hessenberg reduction plus shifted QR, as implemented by
+``dgeev``); integer matrix powers by repeated squaring; and the trace. All
+functions treat their inputs as immutable.
+
+``dgetrf`` and ``dgetrs`` are taken from scipy's f2py extension module
+``scipy.linalg._flapack``, which this module loads straight from its file
+under that name. ``scipy.linalg.lapack`` re-exports the same two callables
+from the same module, so results are those of scipy's own LAPACK build. What
+the direct load skips is the ``scipy.linalg`` package ``__init__``: it pulls
+in scipy's array-API layer and, through it, ``numpy.f2py``, ``numpy.testing``
+and ``numpy.ma``, about 320 modules that cost more than half of every
+command-line start-up. Loading the extension registers it in ``sys.modules``
+under its real name, so a later ``import scipy.linalg`` gets this very
+module, and ``scipy.linalg.lapack.dgetrf`` is ``dgetrf`` here.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .errors import (
     NoConvergenceError,
@@ -23,6 +36,25 @@ from .errors import (
     TooLargeError,
 )
 from .tolerances import DEFAULT, Tolerances
+
+
+def _load_flapack():
+    """scipy's LAPACK extension module, loaded without ``scipy.linalg``."""
+    name = "scipy.linalg._flapack"
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None:
+        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+    linalg_dirs = [os.path.join(d, "linalg") for d in scipy_spec.submodule_search_locations]
+    spec = importlib.machinery.PathFinder.find_spec(name, linalg_dirs)
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _load_flapack()
+dgetrf, dgetrs = _flapack.dgetrf, _flapack.dgetrs
 
 # eigen and random-chain routines are tuned for desk-scale matrices
 MAX_DIM = 64

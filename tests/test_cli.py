@@ -111,6 +111,16 @@ class TestAnalyze:
         code, rep = run_json(capsys, "analyze", "/nonexistent/chain.csv")
         assert code == EXIT_INPUT_ERROR
 
+    def test_row_sum_message_prints_a_plain_float(self, capsys, tmp_path):
+        path = tmp_path / "row_sum.csv"
+        path.write_text("0.5,0.6\n0.5,0.5\n")
+        code, rep = run_json(capsys, "analyze", str(path))
+        assert code == EXIT_INPUT_ERROR
+        assert rep["error"] == {
+            "type": "RowSumOutOfToleranceError",
+            "message": "row 0 sums to 1.1, off by more than 1.0e-06",
+        }
+
     def test_nonsquare_csv(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("0.5,0.5\n")
@@ -384,6 +394,14 @@ class TestGenerate:
         run(capsys, "generate", "5", "ergodic", str(a), "--seed", "11")
         run(capsys, "generate", "5", "ergodic", str(b), "--seed", "11")
         assert a.read_bytes() == b.read_bytes()
+
+    def test_unwritable_output_is_an_input_error(self, capsys):
+        code = cli.main(["generate", "3", "ergodic", "/nonexistent/dir/x.json"])
+        out, err = capsys.readouterr()
+        assert code == EXIT_INPUT_ERROR
+        assert err == ""
+        assert "type: ParseError" in out
+        assert "message: cannot write /nonexistent/dir/x.json: " in out
 
     def test_doubly_stochastic_columns(self, capsys, tmp_path):
         path = tmp_path / "ds.csv"

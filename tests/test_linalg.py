@@ -1,6 +1,12 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.lapack
 from numpy.testing import assert_allclose
 
 from mrdist import chain, linalg
@@ -14,6 +20,7 @@ from mrdist.tolerances import DEFAULT
 
 from conftest import CE_EIGENVALUES, CE_T_AV
 
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(linalg.__file__)))
 
 COUNTEREXAMPLE = np.array([[0.9, 0.1, 0.0], [0.5, 0.0, 0.5], [0.0, 0.1, 0.9]])
 CE_PI = np.array([5.0, 1.0, 5.0]) / 11.0
@@ -80,6 +87,48 @@ class TestLuSolve:
             ref = scipy.linalg.lu_solve(factors, b)
             assert x.shape == ref.shape == b.shape
             assert x.tobytes() == ref.tobytes()
+
+
+class TestLapackLoad:
+    def test_same_callables_as_scipy_lapack(self):
+        assert linalg.dgetrf is scipy.linalg.lapack.dgetrf
+        assert linalg.dgetrs is scipy.linalg.lapack.dgetrs
+
+    @staticmethod
+    def _python(tmp_path, script):
+        env = dict(os.environ, PYTHONPATH=SRC)
+        return subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=120)
+
+    def test_commands_run_without_importing_scipy_linalg(self, tmp_path):
+        (tmp_path / "ce.csv").write_text("0.9,0.1,0\n0.5,0,0.5\n0,0.1,0.9\n")
+        script = (
+            "import contextlib, io, json, sys\n"
+            "from mrdist import cli\n"
+            "codes = []\n"
+            "for argv in (['analyze', 'ce.csv'], ['sumrule', 'ce.csv'],\n"
+            "             ['forest-verify', 'ce.csv'],\n"
+            "             ['simulate', 'ce.csv', '--replicas', '100'], ['counterexample']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        codes.append(cli.main(argv))\n"
+            "print(json.dumps([codes, 'scipy.linalg' in sys.modules]))\n"
+        )
+        proc = self._python(tmp_path, script)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [[0, 0, 0, 0, 0], False]
+
+    def test_missing_scipy_is_module_not_found(self, tmp_path):
+        script = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "try:\n"
+            "    import mrdist\n"
+            "except ModuleNotFoundError as exc:\n"
+            "    print(exc.name)\n"
+        )
+        proc = self._python(tmp_path, script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "scipy\n"
 
 
 class TestLuSolveStack:

@@ -134,6 +134,7 @@ def command_lines() -> list[tuple[list[str], dict]]:
         add("analyze", "ce.csv", "--simulate", "--pairs", pairs)
     add("generate", "1", "ergodic", "g1.json")
     add("generate", "65", "ergodic", "g65.json")
+    add("generate", "3", "ergodic", "missing_dir/x.json")  # unwritable output
 
     # input errors
     for name in ("missing.csv", "bad_json.json", "bad_states.json", "no_p.json",
