@@ -75,6 +75,15 @@ class StochasticMatrix:
         strongly_connected, period = self.graph_verdict
         return strongly_connected and period == 1
 
+    def require_ergodic(self) -> None:
+        """Raise NotErgodicError, naming the graph verdict, unless ergodic."""
+        if not self.is_ergodic:
+            strongly_connected, period = self.graph_verdict
+            raise NotErgodicError(
+                f"chain is not ergodic (strongly_connected={strongly_connected}, "
+                f"period={period})"
+            )
+
 
 @dataclass(frozen=True)
 class ErgodicityReport:
@@ -177,7 +186,9 @@ def _bfs_levels(arcs: np.ndarray, root: int) -> np.ndarray:
     return level
 
 
-def check_ergodicity(chain: StochasticMatrix, *, tol: Tolerances = DEFAULT) -> ErgodicityReport:
+def check_ergodicity(
+    chain: StochasticMatrix, *, tol: Tolerances = DEFAULT, pi: np.ndarray | None = None
+) -> ErgodicityReport:
     """Classify a chain: connectivity, period, double stochasticity, reversibility.
 
     Strong connectivity is decided by forward and backward graph search over
@@ -186,19 +197,16 @@ def check_ergodicity(chain: StochasticMatrix, *, tol: Tolerances = DEFAULT) -> E
     with levels taken from a BFS; this is the standard digraph period
     algorithm and yields an exact integer with no tolerance ambiguity. This
     graph verdict is cached on the matrix as ``chain.graph_verdict``.
+
+    Reversibility is judged against the stationary distribution, which only
+    an ergodic chain has: ``pi`` when given, solved for otherwise.
     """
-    pi = _stationary_solve(chain.P, tol) if chain.is_ergodic else None
-    return _ergodicity_report(chain, pi, tol)
-
-
-def _ergodicity_report(
-    chain: StochasticMatrix, pi: np.ndarray | None, tol: Tolerances
-) -> ErgodicityReport:
-    # reversibility is judged against pi, which only an ergodic chain has
     P = chain.P
     strongly_connected, period = chain.graph_verdict
     is_reversible: bool | None = None
-    if pi is not None:
+    if chain.is_ergodic:
+        if pi is None:
+            pi = _stationary_solve(P, tol)
         flow = pi[:, None] * P
         is_reversible = bool(np.abs(flow - flow.T).max() < tol.stochastic_check)
     return ErgodicityReport(
@@ -222,8 +230,7 @@ def _stationary_solve(P: np.ndarray, tol: Tolerances) -> np.ndarray:
 
 def stationary(chain: StochasticMatrix, *, tol: Tolerances = DEFAULT) -> np.ndarray:
     """Stationary distribution of an ergodic chain via a direct linear solve."""
-    if not chain.is_ergodic:
-        raise NotErgodicError("stationary distribution requires an ergodic chain")
+    chain.require_ergodic()
     return _freeze(_stationary_solve(chain.P, tol))
 
 
@@ -280,8 +287,7 @@ def hitting_times_oracle(chain: StochasticMatrix, *, tol: Tolerances = DEFAULT) 
     (n, n-1, n-1) stack. Used as a cross-validation oracle for
     :func:`hitting_times`.
     """
-    if not chain.is_ergodic:
-        raise NotErgodicError("hitting times require an ergodic chain")
+    chain.require_ergodic()
     n = chain.n
     off = ~np.eye(n, dtype=bool)  # off[j, i]: state i is kept when j is the target
     systems = np.broadcast_to(np.eye(n) - chain.P, (n, n, n))[
@@ -335,15 +341,14 @@ def eigentime_constant(eigs: np.ndarray, *, tol: Tolerances = DEFAULT) -> float:
 def analyze(chain: StochasticMatrix, *, tol: Tolerances = DEFAULT) -> ChainAnalysis:
     """Compute pi, Pi, F, D, H, the Kemeny constant and the ergodicity report
     of an ergodic chain."""
-    if not chain.is_ergodic:
-        raise NotErgodicError("analysis requires an ergodic chain")
+    chain.require_ergodic()
     pi = _freeze(_stationary_solve(chain.P, tol))
     Pi = pi_matrix(pi)
     F = fundamental_matrix(chain, pi, tol=tol)
     D = group_inverse(F, Pi)
     H = hitting_times(F, pi)
     t_av = kemeny_constant(H, pi, tol=tol)
-    erg = _ergodicity_report(chain, pi, tol)
+    erg = check_ergodicity(chain, tol=tol, pi=pi)
     return ChainAnalysis(pi=pi, Pi=Pi, F=F, D=D, H=H, t_av=t_av, ergodicity=erg)
 
 
@@ -365,7 +370,7 @@ def generate_random_chain(
         and detailed balance holds by construction.
     doubly_stochastic
         Sinkhorn balancing of a positive matrix until row and column sums
-        are within ``tol.sinkhorn``, capped at ``tol.sinkhorn_max_sweeps``.
+        are within 1e-10 of 1, capped at 10,000 sweeps.
     birth_death
         Tridiagonal with positive off-diagonals and positive diagonal.
     """
@@ -383,7 +388,7 @@ def generate_random_chain(
         w = b + b.T
         p = w / w.sum(axis=1, keepdims=True)
     elif kind == "doubly_stochastic":
-        p = _sinkhorn(rng.uniform(0.05, 1.0, (n, n)), tol)
+        p = _sinkhorn(rng.uniform(0.05, 1.0, (n, n)))
     else:  # birth_death
         p = np.zeros((n, n))
         for i in range(n):
@@ -398,14 +403,19 @@ def generate_random_chain(
     return validate(p, tol=tol)
 
 
-def _sinkhorn(w: np.ndarray, tol: Tolerances) -> np.ndarray:
-    for _ in range(tol.sinkhorn_max_sweeps):
+# parameters of the doubly_stochastic generator, not tolerances of a verdict
+_SINKHORN_TOL = 1e-10
+_SINKHORN_MAX_SWEEPS = 10_000
+
+
+def _sinkhorn(w: np.ndarray) -> np.ndarray:
+    for _ in range(_SINKHORN_MAX_SWEEPS):
         w = w / w.sum(axis=1, keepdims=True)
         w = w / w.sum(axis=0, keepdims=True)
         row_dev = np.abs(w.sum(axis=1) - 1.0).max()
         col_dev = np.abs(w.sum(axis=0) - 1.0).max()
-        if max(row_dev, col_dev) < tol.sinkhorn:
+        if max(row_dev, col_dev) < _SINKHORN_TOL:
             return w
     raise SinkhornNoConvergenceError(
-        f"no convergence to {tol.sinkhorn:.1e} within {tol.sinkhorn_max_sweeps} sweeps"
+        f"no convergence to {_SINKHORN_TOL:.1e} within {_SINKHORN_MAX_SWEEPS} sweeps"
     )

@@ -25,13 +25,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import __version__, chain, forest, linalg, resistance, simulate
-from .errors import (
-    MaxStepsExceededError,
-    MRDistError,
-    NotErgodicError,
-    ParseError,
-    SingularMatrixError,
-)
+from .errors import MaxStepsExceededError, MRDistError, NotErgodicError, ParseError
 from .tolerances import DEFAULT, Tolerances
 
 EXIT_OK = 0
@@ -331,14 +325,7 @@ def _triple_labels(triple, labels) -> list[str] | None:
 
 
 def _analyzed(mat: chain.StochasticMatrix, tol: Tolerances):
-    """The analysis of an ergodic chain and its Omega from F; raises
-    NotErgodicError with the graph verdict otherwise."""
-    if not mat.is_ergodic:
-        strongly_connected, period = mat.graph_verdict
-        raise NotErgodicError(
-            f"chain is not ergodic (strongly_connected={strongly_connected}, "
-            f"period={period})"
-        )
+    """The analysis of an ergodic chain and its Omega from F."""
     analysis = chain.analyze(mat, tol=tol)
     return analysis, resistance.omega_from_fundamental(analysis.F)
 
@@ -568,17 +555,11 @@ _PAIR_BLOCK_ENTRIES = 2**14
 
 def _random_pair_sides(n: int, seeds, om, F, tol: Tolerances):
     """Both sides of the sum rule for the random pair of each seed, as (k,)
-    arrays; an error is that of the first failing trial in seed order."""
+    arrays, built and checked one block of trials at a time."""
     lhs, rhs = np.empty(len(seeds)), np.empty(len(seeds))
     block = max(1, _PAIR_BLOCK_ENTRIES // n**2)
     for lo in range(0, len(seeds), block):
-        chunk = seeds[lo:lo + block]
-        try:
-            pair = resistance.make_sum_rule_pair(n, chunk, tol=tol)
-        except SingularMatrixError as exc:
-            # the trials before the one left without an invertible M come first
-            _random_pair_sides(n, chunk[:exc.index], om, F, tol)
-            raise
+        pair = resistance.make_sum_rule_pair(n, seeds[lo:lo + block], tol=tol)
         lhs[lo:lo + block], rhs[lo:lo + block] = resistance.sum_rule(pair, om, F, tol=tol)
     return lhs, rhs
 
@@ -614,7 +595,8 @@ def cmd_sumrule(
     scale = np.maximum(np.abs(lhs), np.abs(rhs))
     bound = np.array([tol.bound(s) for s in scale.tolist()])
     random_section: dict = {"trials": trials, "max_abs_err": float(err.max(initial=0.0))}
-    if trials:  # the first trial of the largest err - bound, as a check record
+    # the first trial of the largest err - bound holds the verdict of them all
+    if trials:
         worst = int(np.argmax(err - bound))
         checks["random_pairs_worst"] = _identity_check(lhs[worst], rhs[worst], tol)
 
@@ -628,7 +610,7 @@ def cmd_sumrule(
     if skipped:
         report["skipped"] = skipped
     report["checks"] = checks
-    report["pass"] = _all_pass(checks.values()) and bool((err <= bound).all())
+    report["pass"] = _all_pass(checks.values())
     return report
 
 
@@ -775,7 +757,7 @@ def _parse_tolerance_overrides(entries: list[str] | None) -> Tolerances:
         if name not in valid:
             raise _UsageError(f"unknown tolerance {name!r}")
         try:
-            changes[name] = int(value) if name == "sinkhorn_max_sweeps" else float(value)
+            changes[name] = float(value)
         except ValueError as exc:
             raise _UsageError(f"bad tolerance value in {entry!r}") from exc
         if not changes[name] >= 0:  # also rejects NaN

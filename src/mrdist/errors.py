@@ -22,15 +22,7 @@ class RowSumOutOfToleranceError(MRDistError):
 
 
 class SingularMatrixError(MRDistError):
-    """LU factorization produced a pivot below the singularity threshold.
-
-    ``index`` is the position, in its stack, of the first matrix (or random
-    sum-rule trial) that failed; 0 for a single matrix.
-    """
-
-    def __init__(self, message: str, index: int = 0):
-        super().__init__(message)
-        self.index = index
+    """LU factorization produced a pivot below the singularity threshold."""
 
 
 class NoConvergenceError(MRDistError):

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import StochasticMatrix
-from .errors import NotErgodicError, TooLargeError
+from .errors import TooLargeError
 from .resistance import ResistanceMatrix, resistance_matrix
 
 DEFAULT_MAX_STATES = 8
@@ -77,8 +77,7 @@ def enumerate_forests(
     n = chain.n
     if n > max_n:
         raise TooLargeError(f"enumeration capped at n <= {max_n}, got {n}")
-    if not chain.is_ergodic:
-        raise NotErgodicError("forest weights are defined here for ergodic chains")
+    chain.require_ergodic()
 
     # arc i -> k has weight A[i][k] / den, den = 2**e common to every arc
     ratios = [

@@ -90,8 +90,8 @@ def lu_solve(a, b, *, tol: Tolerances = DEFAULT) -> np.ndarray:
     ------
     SingularMatrixError
         If any pivot magnitude of any matrix falls below ``tol.pivot`` after
-        pivoting; its ``index`` is the stack position of the first such
-        matrix.
+        pivoting, with the smallest pivot of the first such matrix in stack
+        order.
     """
     a_in, b_in = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     single = a_in.ndim == 2
@@ -114,21 +114,19 @@ def lu_solve(a, b, *, tol: Tolerances = DEFAULT) -> np.ndarray:
     if a.size == 0:  # LAPACK rejects a 0 x 0 matrix; x = b is empty too
         x = b_arr.copy()
     else:
-        x = np.stack([_lu_solve_one(a_k, rhs_k, tol, k)
-                      for k, (a_k, rhs_k) in enumerate(zip(a, rhs))])
+        x = np.stack([_lu_solve_one(a_k, rhs_k, tol) for a_k, rhs_k in zip(a, rhs)])
         x = x[..., 0] if vector else x
     return x[0] if single else x
 
 
-def _lu_solve_one(a: np.ndarray, rhs: np.ndarray, tol: Tolerances, index: int) -> np.ndarray:
+def _lu_solve_one(a: np.ndarray, rhs: np.ndarray, tol: Tolerances) -> np.ndarray:
     # dgetrf's info > 0 marks an exactly zero pivot; the pivot check below
     # raises on it, as on any pivot under tol.pivot
     lu, piv, _ = dgetrf(a)
     smallest_pivot = np.abs(np.diag(lu)).min()
     if smallest_pivot < tol.pivot:
         raise SingularMatrixError(
-            f"pivot magnitude {smallest_pivot:.3e} below threshold {tol.pivot:.1e}",
-            index,
+            f"pivot magnitude {smallest_pivot:.3e} below threshold {tol.pivot:.1e}"
         )
     return dgetrs(lu, piv, rhs)[0]
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import StochasticMatrix
-from .errors import MaxStepsExceededError, NotErgodicError
+from .errors import MaxStepsExceededError
 
 MIN_REPLICAS = 100  # below this no statistical assertion is meaningful
 MAX_REPLICAS = 2**63 - 1  # the state counts are int64
@@ -99,8 +99,7 @@ def simulate_hitting(
     """
     start = _check_state(chain, start, "start")
     target = _check_state(chain, target, "target")
-    if not chain.is_ergodic:
-        raise NotErgodicError("simulation requires an ergodic chain")
+    chain.require_ergodic()
     if start == target:
         return HittingEstimate(0.0, 0.0, cfg.replicas)
 

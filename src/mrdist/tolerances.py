@@ -1,9 +1,11 @@
 """Central numerical tolerance configuration.
 
-Every hard-coded threshold used by the library lives in one frozen record so
-that the CLI, the tests and library callers agree on a single set of
-defaults. Functions that read a threshold take a ``tol`` keyword
-defaulting to :data:`DEFAULT`.
+Every threshold that a solve, a validation or a verdict depends on lives in
+one frozen record so that the CLI, the tests and library callers agree on a
+single set of defaults. Functions that read a threshold take a ``tol``
+keyword defaulting to :data:`DEFAULT`. The Sinkhorn settings of the
+doubly stochastic chain generator are parameters of that generator, not
+tolerances, and stay beside it in ``chain.py``.
 
 The paper's identities hold exactly, so an identity check only asks whether
 the rounding is small for the size of what it compares. Each such check is
@@ -45,8 +47,6 @@ class Tolerances:
     row_sum_reject: float = 1e-6     # row-sum deviation that fails validation
     stochastic_check: float = 1e-9   # doubly stochastic and detailed balance flags
     hitting_agreement: float = 1e-8
-    sinkhorn: float = 1e-10
-    sinkhorn_max_sweeps: int = 10_000
 
     # identity checks, relative to the scale of what they compare
     identity_relative: float = 1e-9  # the factor of bound(scale)

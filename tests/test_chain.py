@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from mrdist import chain, linalg
+from mrdist import chain, forest, linalg, simulate
 from mrdist.errors import (
     NegativeEntryError,
     NonFiniteEntryError,
@@ -107,6 +107,39 @@ class TestErgodicity:
         rep = chain.check_ergodicity(chain.validate(cycle))
         assert rep.strongly_connected
         assert rep.period == 4
+
+    @pytest.mark.parametrize(
+        "rows, verdict",
+        [([[0.0, 1.0], [1.0, 0.0]], "strongly_connected=True, period=2"),
+         ([[1.0, 0.0], [0.0, 1.0]], "strongly_connected=False, period=1")],
+        ids=["period_2", "reducible"],
+    )
+    def test_every_guard_names_the_graph_verdict(self, rows, verdict):
+        mat = chain.validate(rows)
+        message = f"^chain is not ergodic \\({verdict}\\)$"
+        calls = [
+            lambda: chain.stationary(mat),
+            lambda: chain.hitting_times_oracle(mat),
+            lambda: chain.analyze(mat),
+            lambda: forest.enumerate_forests(mat),
+            lambda: simulate.simulate_hitting(mat, 0, 1, simulate.SimConfig(seed=0, replicas=100)),
+        ]
+        for call in calls:
+            with pytest.raises(NotErgodicError, match=message):
+                call()
+
+    @pytest.mark.parametrize("kind", chain.CHAIN_KINDS)
+    def test_analyze_builds_its_report_from_its_own_pi(self, monkeypatch, kind):
+        mat = chain.generate_random_chain(6, kind, 2)
+        expected = chain.check_ergodicity(mat)
+        calls = []
+        for name in ("_stationary_solve", "check_ergodicity"):
+            fn = getattr(chain, name)
+            monkeypatch.setattr(
+                chain, name, lambda *a, _fn=fn, _name=name, **k: calls.append(_name) or _fn(*a, **k)
+            )
+        assert chain.analyze(mat).ergodicity == expected
+        assert calls == ["_stationary_solve", "check_ergodicity"]
 
 
 def reference_graph_verdict(P: np.ndarray) -> tuple[bool, int]:

@@ -5,6 +5,8 @@ import pytest
 
 from mrdist import chain, cli
 from mrdist.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK
+from mrdist.errors import SingularMatrixError
+from mrdist.tolerances import DEFAULT
 
 from conftest import CE_PI
 
@@ -153,6 +155,10 @@ class TestAnalyze:
             pytest.param(("analyze", "--tolerance", "identity_relative=-1"), id="negative"),
             pytest.param(("sumrule", "--trials", "-3"), id="negative_trials"),
             pytest.param(("analyze", "--tolerance", "solve_residual=1"), id="solve_residual"),
+            # generator parameters, not tolerances
+            pytest.param(("analyze", "--tolerance", "sinkhorn=1e-12"), id="sinkhorn"),
+            pytest.param(("analyze", "--tolerance", "sinkhorn_max_sweeps=5"),
+                         id="sinkhorn_max_sweeps"),
         ],
     )
     def test_unknown_tolerance_rejected(self, capsys, ce_file, argv):
@@ -241,6 +247,20 @@ class TestSumrule:
         assert code == EXIT_OK
         assert "random_pairs_worst" not in rep["checks"]
         assert "canonical_stationary_pair" in rep["checks"]
+
+    def test_pivot_above_one_stops_in_the_chain_solve(self, capsys, monkeypatch, ce_file):
+        # the first pivot of the stationary solve is exactly 1, so a threshold
+        # above 1 stops the analysis before any random pair is drawn
+        def no_pairs(*args, **kwargs):
+            raise AssertionError("a random pair was drawn")
+
+        monkeypatch.setattr(cli.resistance, "make_sum_rule_pair", no_pairs)
+        tol = DEFAULT.override(pivot=1.5)
+        with pytest.raises(SingularMatrixError) as expected:
+            chain.stationary(cli.load_chain(ce_file), tol=tol)
+        code, rep = run_json(capsys, "sumrule", ce_file, "--tolerance", "pivot=1.5")
+        assert code == EXIT_INPUT_ERROR
+        assert rep["error"] == {"type": "SingularMatrixError", "message": str(expected.value)}
 
     def test_non_reversible_skips_power_pairs(self, capsys, tmp_path):
         path = tmp_path / "nr.json"

@@ -139,20 +139,15 @@ def test_metric_check_matches_two_temporary_scan():
 
 def ref_make_sum_rule_pair(n, seed, *, tol=DEFAULT):
     """One 2-D pair built on its own, as it was before pairs were stacked."""
-    for attempt in range(16):
-        rng = np.random.default_rng(seed + attempt)
-        b = rng.standard_normal((n, n))
-        a = b + b.T
-        r = a.sum(axis=1)
-        total = a.sum()
-        a = a - r[:, None] / n - r[None, :] / n + total / n**2
-        m = rng.standard_normal((n, n))
-        m = m + np.diag(np.abs(m).sum(axis=1) + 1.0)
-        try:
-            return resistance.SumRulePair(M=m, K=np.eye(n) + linalg.lu_solve(m, a, tol=tol))
-        except SingularMatrixError:
-            continue
-    raise SingularMatrixError(f"no invertible M found in 16 attempts from seed {seed}")
+    rng = np.random.default_rng(seed)
+    b = rng.standard_normal((n, n))
+    a = b + b.T
+    r = a.sum(axis=1)
+    total = a.sum()
+    a = a - r[:, None] / n - r[None, :] / n + total / n**2
+    m = rng.standard_normal((n, n))
+    m = m + np.diag(np.abs(m).sum(axis=1) + 1.0)
+    return resistance.SumRulePair(M=m, K=np.eye(n) + linalg.lu_solve(m, a, tol=tol))
 
 
 def ref_sum_rule(pair, omega, F, *, tol=DEFAULT):
@@ -273,9 +268,6 @@ class TestSumRule:
             (1e-13, 1e-10),  # every trial passes
             (1e-13, 6e-16),  # trial 6 is the first to fail a hypothesis
             (1e-13, 4e-16),  # trial 2, on its row sums
-            (2.0, 4e-16),    # trial 4, on symmetry, after redrawn trials
-            (3.5, 1e-10),    # trial 36 runs out of attempts
-            (3.5, 4e-16),    # trial 0 fails a hypothesis before trial 36 runs out
         ],
     )
     def test_random_trials_match_one_at_a_time(
@@ -330,26 +322,25 @@ class TestMakeSumRulePair:
             one = resistance.make_sum_rule_pair(n, seed)
             assert np.array_equal(one.M, ref.M) and np.array_equal(one.K, ref.K)
 
-    def test_pivot_failures_redraw_only_their_trials(self):
-        # at pivot 2.0 the first draw of seeds 1, 2, 7 and 11 fails, the rest pass
-        tol = DEFAULT.override(pivot=2.0)
-        seeds = range(12)
-        pair = resistance.make_sum_rule_pair(3, seeds, tol=tol)
-        plain = resistance.make_sum_rule_pair(3, seeds)
-        redrawn = [t for t in seeds if not np.array_equal(pair.M[t], plain.M[t])]
-        assert redrawn == [1, 2, 7, 11]
-        for t, seed in enumerate(seeds):
-            ref = ref_make_sum_rule_pair(3, seed, tol=tol)
-            assert np.array_equal(pair.M[t], ref.M) and np.array_equal(pair.K[t], ref.K)
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_every_pivot_of_m_is_at_least_one(self, n):
+        # M is strictly row diagonally dominant with margins >= 1, so no
+        # pivot comes near the default threshold
+        _, m = resistance._pair_inputs(n, range(2000))
+        smallest = min(np.abs(np.diag(linalg.dgetrf(m_t)[0])).min() for m_t in m)
+        assert smallest >= 1.0
 
-    def test_trial_out_of_attempts_names_its_seed(self):
-        tol = DEFAULT.override(pivot=3.5)
-        with pytest.raises(SingularMatrixError, match="from seed 36$") as info:
-            resistance.make_sum_rule_pair(3, range(40), tol=tol)
-        assert info.value.index == 36
-        with pytest.raises(SingularMatrixError, match="from seed 36$") as info:
-            resistance.make_sum_rule_pair(3, range(30, 40), tol=tol)
-        assert info.value.index == 6
+    def test_rejected_pivot_raises_lu_solves_error(self):
+        # at pivot 2.0 the M of seed 1 is the first of the stack to fail
+        tol = DEFAULT.override(pivot=2.0)
+        _, m = resistance._pair_inputs(3, [1])
+        with pytest.raises(SingularMatrixError) as expected:
+            linalg.lu_solve(m[0], np.eye(3), tol=tol)
+        assert str(expected.value).startswith("pivot magnitude ")
+        for seeds in (range(12), 1):
+            with pytest.raises(SingularMatrixError) as info:
+                resistance.make_sum_rule_pair(3, seeds, tol=tol)
+            assert str(info.value) == str(expected.value)
 
 
 class TestKirchhoffIndices:

@@ -203,6 +203,13 @@ def command_lines() -> list[tuple[list[str], dict]]:
         both("sumrule", "ergodic_3_s0.json", "--trials", "20",
              "--tolerance", f"pair_hypothesis={value}")
     add("sumrule", "ce.csv", "--format", "json", env={"MR_SEED": "8"})
+    # a pivot threshold of 1 or more stops sumrule in a solve of the chain's
+    # analysis, before any random pair is drawn
+    for value in ("1", "1.5"):
+        for name in ("ce.csv", "ergodic_3_s0.json", "birth_death_8_s1.json"):
+            both("sumrule", name, "--tolerance", f"pivot={value}")
+    add("generate", "4", "doubly_stochastic", "ds_sinkhorn.json",
+        "--tolerance", "sinkhorn=1e-12")
     # Monte Carlo legs that draw both per row and stacked
     for kind in ("ergodic", "birth_death"):
         name = _gen_name(16, kind, 0)
