@@ -31,7 +31,6 @@ from .errors import (
     NotReversibleError,
     NotSquareError,
     ParseError,
-    RandomTargetViolationError,
     RowSumOutOfToleranceError,
     SingularMatrixError,
     SinkhornNoConvergenceError,
@@ -44,7 +43,7 @@ from .forest import (
     omega_from_forest,
     stationary_from_forest,
 )
-from .linalg import eigenvalues, inverse, lu_solve, matrix_power, trace
+from .linalg import eigenvalues, inverse, lu_solve
 from .resistance import (
     KirchhoffReport,
     MetricReport,

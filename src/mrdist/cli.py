@@ -579,11 +579,11 @@ def cmd_sumrule(
     checks = {"canonical_stationary_pair": _stationary_pair_check(analysis, om, tol)}
     skipped: dict[str, str] = {}
     if analysis.ergodicity.is_reversible:
+        power = mat.P
         for m in (1, 2, 3):
-            pair = resistance.SumRulePair(
-                M=np.diag(analysis.pi), K=linalg.matrix_power(mat.P, m)
-            )
+            pair = resistance.SumRulePair(M=np.diag(analysis.pi), K=power)
             checks[f"canonical_power_pair_m{m}"] = _sum_rule_check(pair, om, analysis.F, tol)
+            power = power @ mat.P
     else:
         skipped["power_pairs"] = (
             "transition-power pairs need a reversible chain "

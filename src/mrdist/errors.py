@@ -37,15 +37,6 @@ class NotErgodicError(MRDistError):
     """Chain is reducible or periodic where ergodicity is required."""
 
 
-class RandomTargetViolationError(MRDistError):
-    """pi-weighted hitting-time rows disagree beyond tolerance.
-
-    The weighted row sums of the hitting-time matrix are provably equal for
-    an ergodic chain, so a spread above tolerance signals a numerical failure
-    upstream, not a property of the chain.
-    """
-
-
 class EigentimeResidueError(MRDistError):
     """Conjugate eigenvalue contributions failed to cancel (numerical failure)."""
 

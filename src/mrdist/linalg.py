@@ -3,10 +3,9 @@ r"""Dense real-matrix kernel for desk-scale problems (n <= 64).
 Contract-enforcing wrappers around LAPACK via numpy/scipy: LU solves with
 partial pivoting (``dgetrf``/``dgetrs``) and an explicit pivot-threshold
 singularity check, for a stack of equal-size matrices validated once and
-factored one by one (one matrix is a stack of one); matrix inverse; the full
-complex spectrum (Hessenberg reduction plus shifted QR, as implemented by
-``dgeev``); integer matrix powers by repeated squaring; and the trace. All
-functions treat their inputs as immutable.
+factored one by one (one matrix is a stack of one); matrix inverse; and the
+full complex spectrum (Hessenberg reduction plus shifted QR, as implemented
+by ``dgeev``). All functions treat their inputs as immutable.
 
 ``dgetrf`` and ``dgetrs`` are taken from scipy's f2py extension module
 ``scipy.linalg._flapack``, which this module loads straight from its file
@@ -114,6 +113,8 @@ def lu_solve(a, b, *, tol: Tolerances = DEFAULT) -> np.ndarray:
     if a.size == 0:  # LAPACK rejects a 0 x 0 matrix; x = b is empty too
         x = b_arr.copy()
     else:
+        # stacking keeps dgetrs's Fortran order; hitting_times inherits it from F,
+        # and H @ pi takes a different BLAS path for a C-ordered H
         x = np.stack([_lu_solve_one(a_k, rhs_k, tol) for a_k, rhs_k in zip(a, rhs)])
         x = x[..., 0] if vector else x
     return x[0] if single else x
@@ -166,17 +167,3 @@ def eigenvalues(a) -> np.ndarray:
     mod = np.round(np.abs(lam), 12)
     order = np.lexsort((-lam.imag, -lam.real, -mod))
     return lam[order]
-
-
-def matrix_power(a, m: int) -> np.ndarray:
-    """``a`` raised to a non-negative integer power by repeated squaring."""
-    a = require_square(a)
-    if m != int(m) or m < 0:
-        raise ValueError(f"exponent must be a non-negative integer, got {m!r}")
-    return np.linalg.matrix_power(a, int(m))
-
-
-def trace(a) -> float:
-    """Sum of the diagonal entries."""
-    a = require_square(a)
-    return float(np.trace(a))

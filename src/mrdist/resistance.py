@@ -309,19 +309,18 @@ def foster_sum(
         raise NotReversibleError("trace identity requires detailed balance")
     P = chain.P
     pi = analysis.pi
-    pm = linalg.matrix_power(P, m)
-    weighted = pi[:, None] * pm
+    partial = np.zeros_like(P)
+    power = np.eye(chain.n)
+    for _ in range(m):
+        partial = partial + power - analysis.Pi
+        power = power @ P  # P^m when the loop ends
+    weighted = pi[:, None] * power
     lhs = float((weighted.T * omega.omega).sum())
     lhs_transposed = float((weighted * omega.omega).sum())
     if abs(lhs - lhs_transposed) > tol.bound(lhs):
         raise NotReversibleError(
             f"index-order sums disagree by {abs(lhs - lhs_transposed):.3e}"
         )
-    partial = np.zeros_like(P)
-    power = np.eye(chain.n)
-    for _ in range(m):
-        partial = partial + power - analysis.Pi
-        power = power @ P
     rhs = float(2.0 * np.trace(pi[:, None] * partial))
     return lhs, rhs
 

@@ -65,7 +65,8 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class HittingEstimate:
-    """Sample mean and standard error (sample std / sqrt(replicas))."""
+    """Sample mean, standard error (sample std / sqrt(replicas)) and the
+    replica count, which no report prints and the bench tracer reads."""
 
     mean: float
     std_error: float

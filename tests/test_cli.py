@@ -147,6 +147,20 @@ class TestAnalyze:
         assert all(check["pass"] for check in rep["checks"].values())
         assert rep["simulation"]["pairs"][0]["check"]["pass"] is False
 
+    def test_random_target_spread_fails_in_a_full_report(self, capsys, tmp_path):
+        # the rows of H @ pi spread by about 1e-15, past a bound of 4e-20; the
+        # report's check is the one judge of the random-target lemma
+        path = tmp_path / "nr.json"
+        cli.main(["generate", "5", "ergodic", str(path), "--seed", "0"])
+        capsys.readouterr()
+        code, rep = run_json(
+            capsys, "analyze", str(path), "--tolerance", "identity_relative=1e-20"
+        )
+        assert code == EXIT_CHECK_FAILED
+        assert "error" not in rep
+        assert rep["ergodicity"]["is_reversible"] is False
+        assert rep["checks"]["random_target_spread"]["pass"] is False
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -240,54 +240,6 @@ class TestEigenvalues:
             linalg.eigenvalues(np.eye(65))
 
 
-class TestMatrixPower:
-    def test_zeroth_power_is_identity(self):
-        rng = np.random.default_rng(1)
-        a = rng.standard_normal((4, 4))
-        assert_allclose(linalg.matrix_power(a, 0), np.eye(4), rtol=0, atol=0)
-
-    def test_swap_squared(self):
-        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert_allclose(linalg.matrix_power(swap, 2), np.eye(2), rtol=0, atol=0)
-
-    def test_stochasticity_preserved(self):
-        p3 = linalg.matrix_power(COUNTEREXAMPLE, 3)
-        assert_allclose(p3.sum(axis=1), np.ones(3), rtol=0, atol=1e-12)
-
-    def test_power_addition(self):
-        mat = chain.generate_random_chain(6, "ergodic", 3).P
-        for m, k in [(1, 1), (2, 3), (4, 4), (8, 8), (0, 5)]:
-            assert_allclose(
-                linalg.matrix_power(mat, m + k),
-                linalg.matrix_power(mat, m) @ linalg.matrix_power(mat, k),
-                rtol=0,
-                atol=1e-10,
-            )
-
-    def test_negative_exponent_rejected(self):
-        with pytest.raises(ValueError):
-            linalg.matrix_power(np.eye(2), -1)
-
-
-class TestTrace:
-    def test_identity(self):
-        assert linalg.trace(np.eye(4)) == 4.0
-
-    def test_diagonal(self):
-        assert linalg.trace(np.diag([1.0, 2.0, 3.0])) == 6.0
-
-    def test_fundamental_trace_is_one_plus_kemeny(self, ce):
-        pi = chain.stationary(ce.chain)
-        f = chain.fundamental_matrix(ce.chain, pi)
-        assert abs(linalg.trace(f) - (1.0 + CE_T_AV)) < 1e-10
-
-    def test_linearity(self):
-        rng = np.random.default_rng(5)
-        a = rng.standard_normal((6, 6))
-        b = rng.standard_normal((6, 6))
-        assert abs(linalg.trace(a + b) - (linalg.trace(a) + linalg.trace(b))) < 1e-13
-
-
 def test_inverse_roundtrip_invariant():
     # every invertible matrix produced in tests satisfies the residual bound
     for seed in range(5):

@@ -169,6 +169,9 @@ def command_lines() -> list[tuple[list[str], dict]]:
             both("forest-verify", name)
         if n <= 5:
             both("simulate", name, "--replicas", "300", "--seed", str(seed))
+    # the random-target lemma is judged by the report's spread check alone
+    add("analyze", "ergodic_5_s0.json", "--tolerance", "identity_relative=1e-20",
+        "--format", "json")
     add("forest-verify", "ergodic_9_s0.json", "--format", "json")
     add("forest-verify", "ergodic_16_s0.json", "--cap", "8", "--format", "json")
     add("generate", "5", "reversible", "g5.csv", "--seed", "3")
