@@ -240,6 +240,17 @@ class TestEigenvalues:
             linalg.eigenvalues(np.eye(65))
 
 
+class TestTrace:
+    def test_fundamental_trace_is_one_plus_kemeny(self, ce):
+        # Tr F = 1 + t_av, and F's eigenvalues are 1 and 1/(1 - lambda_k)
+        pi = chain.stationary(ce.chain)
+        f = chain.fundamental_matrix(ce.chain, pi)
+        assert abs(np.trace(f) - (1.0 + CE_T_AV)) < 1e-10
+        lam = linalg.eigenvalues(ce.chain.P)
+        rest = lam[np.abs(lam - 1.0) > 1e-8]
+        assert abs(np.trace(f) - (1.0 + np.sum(1.0 / (1.0 - rest)).real)) < 1e-10
+
+
 def test_inverse_roundtrip_invariant():
     # every invertible matrix produced in tests satisfies the residual bound
     for seed in range(5):
