@@ -19,7 +19,6 @@ from .chain import (
     validate,
 )
 from .errors import (
-    EigentimeResidueError,
     HypothesisViolatedError,
     MaxStepsExceededError,
     MRDistError,

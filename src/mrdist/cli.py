@@ -1,8 +1,9 @@
 """Command-line surface: ingest chains, run analyses, verify identities.
 
 Subcommands: analyze, sumrule, forest-verify, simulate, counterexample,
-generate. Chain files are CSV (n lines of n comma-separated decimals, no
-header) or JSON ({"states": [...], "P": [[...], ...]}, labels optional).
+generate. A chain file whose name ends in .json is JSON ({"states": [...],
+"P": [[...], ...]}, labels optional); any other name is CSV (n lines of n
+comma-separated decimals, no header), for reading and writing alike.
 Reports are printed to stdout as human tables (6 significant digits) or as
 JSON with 17-significant-digit floats for reproducibility. Every identity
 check is an object with exactly the fields {lhs, rhs, abs_err, tolerance,
@@ -54,8 +55,13 @@ class _UsageError(Exception):
 # ---------------------------------------------------------------------------
 # chain file input / output
 
+def _chain_format(path: str) -> str:
+    """The format of a chain file: "json" for a .json name, "csv" otherwise."""
+    return "json" if path.endswith(".json") else "csv"
+
+
 def load_chain(path: str, *, tol: Tolerances = DEFAULT) -> chain.StochasticMatrix:
-    """Read a chain file (JSON by .json extension, CSV otherwise)."""
+    """Read a chain file in the format :func:`_chain_format` names."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -63,7 +69,7 @@ def load_chain(path: str, *, tol: Tolerances = DEFAULT) -> chain.StochasticMatri
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
     labels = None
-    if path.endswith(".json"):
+    if _chain_format(path) == "json":
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -99,12 +105,12 @@ def load_chain(path: str, *, tol: Tolerances = DEFAULT) -> chain.StochasticMatri
 
 
 def save_chain(path: str, mat: chain.StochasticMatrix) -> None:
-    """Write a chain file, CSV by .csv extension, JSON otherwise."""
-    if path.endswith(".csv"):
+    """Write a chain file in the format :func:`_chain_format` names."""
+    if _chain_format(path) == "json":
+        text = dumps_json({"states": _labels(mat), "P": mat.P}) + "\n"
+    else:
         lines = [",".join(map(_float17, row)) for row in mat.P.tolist()]
         text = "\n".join(lines) + "\n"
-    else:
-        text = dumps_json({"states": _labels(mat), "P": mat.P}) + "\n"
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -449,7 +455,7 @@ def analyze_report(
 
     if erg.is_reversible:
         for m in (1, 2, 3):
-            f_lhs, f_rhs = resistance.foster_sum(mat, om, m, analysis, tol=tol)
+            f_lhs, f_rhs = resistance.foster_sum(mat, om, m, analysis)
             checks[f"foster_trace_m{m}"] = _identity_check(f_lhs, f_rhs, tol)
         if erg.is_doubly_stochastic:
             checks["foster_first_formula"] = _check(
@@ -708,7 +714,7 @@ def cmd_generate(
         "n": n,
         "kind": kind,
         "seed": seed,
-        "format": "csv" if out_path.endswith(".csv") else "json",
+        "format": _chain_format(out_path),
         "pass": True,
     }
 

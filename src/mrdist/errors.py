@@ -37,10 +37,6 @@ class NotErgodicError(MRDistError):
     """Chain is reducible or periodic where ergodicity is required."""
 
 
-class EigentimeResidueError(MRDistError):
-    """Conjugate eigenvalue contributions failed to cancel (numerical failure)."""
-
-
 class SinkhornNoConvergenceError(MRDistError):
     """Sinkhorn balancing did not reach tolerance within the sweep cap."""
 

@@ -23,7 +23,6 @@ bounded by ``tol.bound(scale) = identity_relative * max(1, |scale|)``:
     kirchhoff_vs_kemeny                                      2 n t_av
     additive_lower_bound, additive_upper_bound               the bound
     sum rules, foster_trace_m*                               max(|lhs|, |rhs|)
-    foster_sum's index-order guard                           |lhs|
     foster_first_formula                                     2 (n - 1)
 
 The eigentime checks take a spectral route, a different accuracy class:
@@ -51,7 +50,6 @@ class Tolerances:
     # identity checks, relative to the scale of what they compare
     identity_relative: float = 1e-9  # the factor of bound(scale)
     eigentime: float = 1e-8          # relative to t_av
-    eigentime_imag: float = 1e-8
 
     # sum-rule hypotheses, absolute
     pair_hypothesis: float = 1e-10

@@ -405,6 +405,18 @@ class TestKemenyConstant:
         eigs = linalg.eigenvalues(ce.chain.P)
         assert abs(chain.eigentime_constant(eigs) - analysis.t_av) < 1e-6
 
+    @pytest.mark.parametrize("eps", [0.5, 0.25, 1e-3])
+    def test_eigentime_of_a_rotating_three_cycle(self, eps):
+        # P = (1 - eps) I + eps C has eigenvalues 1 and 1 - eps + eps w for
+        # the two non-real cube roots w of 1, so the sum is exactly 1 / eps
+        P = (1.0 - eps) * np.eye(3) + eps * np.roll(np.eye(3), 1, axis=1)
+        eigs = linalg.eigenvalues(P)
+        assert (eigs.imag != 0).sum() == 2
+        assert chain.eigentime_constant(eigs) == pytest.approx(1.0 / eps, rel=1e-12)
+
+    def test_eigentime_of_one_state_is_zero(self):
+        assert chain.eigentime_constant(np.array([1.0 + 0.0j])) == 0.0
+
     def test_corrupt_hitting_matrix_is_left_to_the_report(self, ce):
         # analyze's random_target_spread check judges how far the rows spread
         analysis = chain.analyze(ce.chain)

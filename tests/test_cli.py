@@ -161,6 +161,29 @@ class TestAnalyze:
         assert rep["ergodicity"]["is_reversible"] is False
         assert rep["checks"]["random_target_spread"]["pass"] is False
 
+    def test_foster_identity_fails_in_a_full_report(self, capsys, tmp_path):
+        # detailed balance holds by construction; the foster_trace_m* checks
+        # are the one judge of the trace identity, even at a bound of 1e-20
+        path = tmp_path / "rev.json"
+        cli.main(["generate", "5", "reversible", str(path), "--seed", "0"])
+        capsys.readouterr()
+        code, rep = run_json(
+            capsys, "analyze", str(path), "--tolerance", "identity_relative=1e-20"
+        )
+        assert code == EXIT_CHECK_FAILED
+        assert "error" not in rep
+        assert rep["ergodicity"]["is_reversible"] is True
+        assert {"foster_trace_m1", "foster_trace_m2", "foster_trace_m3"} <= set(rep["checks"])
+
+    def test_eigentime_imag_is_not_a_tolerance(self, capsys, ce_file):
+        # the imaginary residue of the eigentime sum is summation rounding
+        # that no verdict reads
+        code = cli.main(["analyze", ce_file, "--tolerance", "eigentime_imag=1e-30"])
+        out, err = capsys.readouterr()
+        assert code == EXIT_INPUT_ERROR
+        assert out == ""
+        assert err == "mrdist: error: unknown tolerance 'eigentime_imag'\n"
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -420,6 +443,20 @@ class TestGenerate:
         path = tmp_path / f"{kind}.json"
         code, rep = run_json(capsys, "generate", "6", kind, str(path), "--seed", "5")
         assert code == EXIT_OK
+        code, rep = run_json(capsys, "analyze", str(path))
+        assert code == EXIT_OK
+
+    @pytest.mark.parametrize(
+        "name,fmt",
+        [("chain.txt", "csv"), ("chain", "csv"), ("chain.JSON", "csv"), ("chain.json", "json")],
+    )
+    def test_one_format_rule_for_writing_and_reading(self, capsys, tmp_path, name, fmt):
+        # a .json name is JSON and any other name is CSV, for generate and analyze alike
+        path = tmp_path / name
+        code, rep = run_json(capsys, "generate", "4", "ergodic", str(path), "--seed", "0")
+        assert code == EXIT_OK
+        assert rep["format"] == fmt
+        assert path.read_text().startswith("{") == (fmt == "json")
         code, rep = run_json(capsys, "analyze", str(path))
         assert code == EXIT_OK
 

@@ -239,6 +239,18 @@ class TestEigenvalues:
         with pytest.raises(TooLargeError):
             linalg.eigenvalues(np.eye(65))
 
+    @pytest.mark.parametrize("n", [3, 16, 64])
+    @pytest.mark.parametrize("kind", chain.CHAIN_KINDS)
+    def test_non_real_eigenvalues_come_in_exact_conjugate_pairs(self, kind, n):
+        # eigentime_constant returns the real part of its complex sum on
+        # the strength of this pairing
+        for seed in range(3):
+            lam = linalg.eigenvalues(chain.generate_random_chain(n, kind, seed).P)
+            non_real = lam[lam.imag != 0]
+            assert sorted(non_real.tolist(), key=lambda z: (z.real, z.imag)) == sorted(
+                non_real.conjugate().tolist(), key=lambda z: (z.real, z.imag)
+            )
+
 
 class TestTrace:
     def test_fundamental_trace_is_one_plus_kemeny(self, ce):

@@ -172,6 +172,15 @@ def command_lines() -> list[tuple[list[str], dict]]:
     # the random-target lemma is judged by the report's spread check alone
     add("analyze", "ergodic_5_s0.json", "--tolerance", "identity_relative=1e-20",
         "--format", "json")
+    # Foster's trace identity is judged by the foster_trace_m* checks alone
+    add("analyze", "reversible_5_s0.json", "--tolerance", "identity_relative=1e-20",
+        "--format", "json")
+    # the eigentime sum's imaginary residue has no tolerance of its own
+    add("analyze", "ergodic_16_s0.json", "--tolerance", "eigentime_imag=1e-30",
+        "--format", "json")
+    # a chain file is JSON for a .json name and CSV for any other
+    add("generate", "4", "ergodic", "g4.txt", "--seed", "0")
+    add("analyze", "g4.txt", "--format", "json")
     add("forest-verify", "ergodic_9_s0.json", "--format", "json")
     add("forest-verify", "ergodic_16_s0.json", "--cap", "8", "--format", "json")
     add("generate", "5", "reversible", "g5.csv", "--seed", "3")
