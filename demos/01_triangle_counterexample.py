@@ -25,10 +25,10 @@ print(analysis.H)
 
 om = omega_from_fundamental(analysis.F)
 print("\nresistance distance Omega:")
-print(om.omega)
+print(om)
 
-direct = om.omega[0, 2]
-via_middle = om.omega[0, 1] + om.omega[1, 2]
+direct = om[0, 2]
+via_middle = om[0, 1] + om[1, 2]
 print(f"\nOmega[1, 3]                 = {direct:.6f}")
 print(f"Omega[1, 2] + Omega[2, 3]   = {via_middle:.6f}")
 print(f"violation                   = {direct - via_middle:.6f}  (= 80/11)")

@@ -32,11 +32,11 @@ om_h = omega_from_hitting(analysis.H, analysis.pi)
 om_c = omega_from_commute(analysis.H, report)
 
 print("\nOmega via the fundamental matrix:")
-print(om_f.omega)
+print(om_f)
 
-for om in (om_d, om_h, om_c):
-    gap = np.abs(om.omega - om_f.omega).max()
-    print(f"max disagreement, {om.method:>15s} route: {gap:.3e}")
+for route, om in (("group_inverse", om_d), ("hitting_time", om_h), ("commute_scaled", om_c)):
+    gap = np.abs(om - om_f).max()
+    print(f"max disagreement, {route:>15s} route: {gap:.3e}")
 
 # the group-inverse route is the fundamental route shifted by Pi, which
 # cancels in the four-term combination; the hitting-time route rescales

@@ -25,7 +25,7 @@ print("2-state chain, a = 0.3, b = 0.4")
 print("  q_roots:", fw.q_roots, " (the single in-trees 2->1 and 1->2)")
 print("  f:\n", fw.f, " (the empty two-singleton forest, weight 1)")
 print("  pi from forests:   ", stationary_from_forest(fw))
-print("  Omega[1,2] = 2/(a+b):", omega_from_forest(fw).omega[0, 1])
+print("  Omega[1,2] = 2/(a+b):", omega_from_forest(fw)[0, 1])
 
 # --- a random 6-state chain against the linear-algebra pipeline -----------
 mat = generate_random_chain(6, "ergodic", seed=12)
@@ -35,7 +35,7 @@ fw = enumerate_forests(mat)
 pi_gap = np.abs(stationary_from_forest(fw) - analysis.pi).max()
 h_gap = np.abs(hitting_from_forest(fw) - analysis.H).max()
 om_gap = np.abs(
-    omega_from_forest(fw).omega - omega_from_fundamental(analysis.F).omega
+    omega_from_forest(fw) - omega_from_fundamental(analysis.F)
 ).max()
 
 print("\n6-state random chain, forest weights vs floating-point linear algebra:")

@@ -26,8 +26,8 @@ print("\npair   analytic   estimate     std_err      z")
 for i in range(mat.n):
     for j in range(i + 1, mat.n):
         est = estimate_omega(mat, i, j, analysis.pi, cfg)
-        z = (est.mean - om.omega[i, j]) / est.std_error
-        print(f"({i + 1},{j + 1})  {om.omega[i, j]:9.4f}  {est.mean:9.4f}  "
+        z = (est.mean - om[i, j]) / est.std_error
+        print(f"({i + 1},{j + 1})  {om[i, j]:9.4f}  {est.mean:9.4f}  "
               f"{est.std_error:9.4f}  {z:+6.2f}")
 
 # same seed, same answer: each leg draws from its own stream, keyed by

@@ -77,6 +77,11 @@ def load_chain(path: str, *, tol: Tolerances = DEFAULT) -> chain.StochasticMatri
         if not isinstance(doc, dict) or "P" not in doc:
             raise ParseError(f'{path}: expected an object with a "P" key')
         rows = doc["P"]
+        # np.array would take booleans and numeric strings as numbers
+        if not isinstance(rows, list) or not all(
+            isinstance(row, list) and set(map(type, row)) <= {int, float} for row in rows
+        ):
+            raise ParseError(f'{path}: "P" must be an array of rows of JSON numbers')
         labels = doc.get("states")
         if labels is not None and not (
             isinstance(labels, list)
@@ -307,7 +312,7 @@ def _forest_checks(fw, analysis: chain.ChainAnalysis, om, tol: Tolerances) -> di
     return {
         "forest_stationary": _agreement_check(forest.stationary_from_forest(fw), analysis.pi, tol),
         "forest_hitting": _agreement_check(forest.hitting_from_forest(fw), analysis.H, tol),
-        "forest_omega": _agreement_check(forest.omega_from_forest(fw).omega, om.omega, tol),
+        "forest_omega": _agreement_check(forest.omega_from_forest(fw), om, tol),
     }
 
 
@@ -371,12 +376,12 @@ def analyze_report(
         resistance.omega_from_commute(H, erg) if erg.is_doubly_stochastic else None
     )
     omega_section = {
-        "fundamental": _matrix_rows(om.omega),
-        "group_inverse": _matrix_rows(om_d.omega),
-        "hitting_time": _matrix_rows(om_h.omega),
+        "fundamental": _matrix_rows(om),
+        "group_inverse": _matrix_rows(om_d),
+        "hitting_time": _matrix_rows(om_h),
     }
     if om_c is not None:
-        omega_section["commute_scaled"] = _matrix_rows(om_c.omega)
+        omega_section["commute_scaled"] = _matrix_rows(om_c)
     report["omega"] = omega_section
 
     metric = resistance.metric_check(om, tol=tol)
@@ -413,12 +418,12 @@ def analyze_report(
         np.abs(H - chain.hitting_times_oracle(mat, tol=tol)).max(),
         tol.hitting_agreement,
     )
-    checks["representation_group_inverse"] = _agreement_check(om_d.omega, om.omega, tol)
-    checks["representation_hitting_time"] = _agreement_check(om_h.omega, om.omega, tol)
+    checks["representation_group_inverse"] = _agreement_check(om_d, om, tol)
+    checks["representation_hitting_time"] = _agreement_check(om_h, om, tol)
     if om_c is not None:
-        checks["representation_commute_scaled"] = _agreement_check(om_c.omega, om.omega, tol)
+        checks["representation_commute_scaled"] = _agreement_check(om_c, om, tol)
         checks["triangle_inequality"] = _residual_check(
-            max(metric.worst_violation, 0.0), tol.bound(om.omega.max())
+            max(metric.worst_violation, 0.0), tol.bound(om.max())
         )
     checks["kirchhoff_vs_kemeny"] = _check(kirch.kirchhoff, kemeny_sum, tol.bound(kemeny_sum))
     if eigentime:
@@ -466,7 +471,7 @@ def analyze_report(
         skipped["foster"] = "chain is not reversible (detailed balance fails)"
 
     sqrt_metric = resistance.metric_check(
-        resistance.resistance_matrix(np.sqrt(om.omega), om.method), tol=tol
+        resistance.resistance_matrix(np.sqrt(om)), tol=tol
     )
     report["informational"] = {
         "sqrt_omega_triangle": {
@@ -509,12 +514,12 @@ def _simulation_section(mat, analysis, om, cfg, pairs, labels, tol) -> dict:
         except MaxStepsExceededError as exc:
             # no estimate; the check fails since Omega[i, j] >= pi[i] + pi[j] > 0
             row["error"] = str(exc)
-            row["check"] = _check(0.0, om.omega[i, j], 0.0)
+            row["check"] = _check(0.0, om[i, j], 0.0)
         else:
             row["estimate"] = est.mean
             row["std_error"] = est.std_error
             row["check"] = _check(
-                est.mean, float(om.omega[i, j]), tol.sigma_band * est.std_error
+                est.mean, float(om[i, j]), tol.sigma_band * est.std_error
             )
         rows.append(row)
     return {

@@ -38,7 +38,7 @@ import numpy as np
 
 from .chain import StochasticMatrix
 from .errors import TooLargeError
-from .resistance import ResistanceMatrix, resistance_matrix
+from .resistance import resistance_matrix
 
 DEFAULT_MAX_STATES = 8
 
@@ -145,6 +145,6 @@ def hitting_from_forest(fw: ForestWeights) -> np.ndarray:
     return H
 
 
-def omega_from_forest(fw: ForestWeights) -> ResistanceMatrix:
+def omega_from_forest(fw: ForestWeights) -> np.ndarray:
     """Omega[i, j] = (f[i, j] + f[j, i]) / q_total."""
-    return resistance_matrix((fw.f + fw.f.T) / fw.q_total, "forest")
+    return resistance_matrix((fw.f + fw.f.T) / fw.q_total)

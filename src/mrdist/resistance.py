@@ -14,6 +14,10 @@ with the generalized sum rule
 for any (M, K) with K 1 = 1 and M(K - I) symmetric, the Kirchhoff index
 family it implies, and the trace-form analogue of Foster's first formula for
 reversible chains.
+
+Omega is a plain read-only (n, n) array. Every constructor returns it
+through :func:`resistance_matrix`, which symmetrizes it and sets its
+diagonal to exactly 0; the functions that take Omega rely on that.
 """
 
 from __future__ import annotations
@@ -26,21 +30,6 @@ from . import linalg
 from .chain import ChainAnalysis, ErgodicityReport, StochasticMatrix
 from .errors import HypothesisViolatedError, NotDoublyStochasticError, NotReversibleError
 from .tolerances import DEFAULT, Tolerances
-
-METHODS = ("fundamental", "group_inverse", "hitting_time", "forest", "commute_scaled")
-
-
-@dataclass(frozen=True, eq=False)
-class ResistanceMatrix:
-    """Symmetric resistance matrix with zero diagonal and a provenance tag."""
-
-    omega: np.ndarray
-    method: str
-
-    @property
-    def n(self) -> int:
-        return self.omega.shape[0]
-
 
 @dataclass(frozen=True)
 class MetricReport:
@@ -75,60 +64,62 @@ class KirchhoffReport:
     additive_upper: float      # 2 t_av (n + 1)
 
 
-def resistance_matrix(omega: np.ndarray, method: str) -> ResistanceMatrix:
-    """Canonicalize a precomputed matrix: symmetrize, clamp the diagonal to 0."""
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
+def resistance_matrix(omega: np.ndarray) -> np.ndarray:
+    """Canonicalize a precomputed matrix: symmetrize, clamp the diagonal to 0, freeze."""
     w = 0.5 * (omega + omega.T)
     np.fill_diagonal(w, 0.0)
     w.setflags(write=False)
-    return ResistanceMatrix(omega=w, method=method)
+    return w
 
 
-def _omega_from_inverse(A: np.ndarray, method: str) -> ResistanceMatrix:
+def _omega_from_inverse(A: np.ndarray) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     d = np.diag(A)
-    return resistance_matrix(d[:, None] + d[None, :] - A - A.T, method)
+    return resistance_matrix(d[:, None] + d[None, :] - A - A.T)
 
 
-def omega_from_fundamental(F: np.ndarray) -> ResistanceMatrix:
+def omega_from_fundamental(F: np.ndarray) -> np.ndarray:
     """Omega[i, j] = F[i, i] + F[j, j] - F[i, j] - F[j, i]."""
-    return _omega_from_inverse(F, "fundamental")
+    return _omega_from_inverse(F)
 
 
-def omega_from_group_inverse(D: np.ndarray) -> ResistanceMatrix:
+def omega_from_group_inverse(D: np.ndarray) -> np.ndarray:
     """Same combination applied to the group inverse; equals the F form."""
-    return _omega_from_inverse(D, "group_inverse")
+    return _omega_from_inverse(D)
 
 
-def omega_from_hitting(H: np.ndarray, pi: np.ndarray) -> ResistanceMatrix:
+def omega_from_hitting(H: np.ndarray, pi: np.ndarray) -> np.ndarray:
     """Omega[i, j] = pi[j] H[i, j] + pi[i] H[j, i]."""
     H = np.asarray(H, dtype=float)
     pi = np.asarray(pi, dtype=float)
     weighted = H * pi[None, :]
-    return resistance_matrix(weighted + weighted.T, "hitting_time")
+    return resistance_matrix(weighted + weighted.T)
 
 
-def omega_from_commute(H: np.ndarray, ergodicity: ErgodicityReport) -> ResistanceMatrix:
+def omega_from_commute(H: np.ndarray, ergodicity: ErgodicityReport) -> np.ndarray:
     """Scaled commute time (H[i, j] + H[j, i]) / n, doubly stochastic only."""
     if not ergodicity.is_doubly_stochastic:
         raise NotDoublyStochasticError(
             "commute-time construction requires a doubly stochastic chain"
         )
     H = np.asarray(H, dtype=float)
-    return resistance_matrix((H + H.T) / H.shape[0], "commute_scaled")
+    return resistance_matrix((H + H.T) / H.shape[0])
 
 
-def metric_check(omega: ResistanceMatrix, *, tol: Tolerances = DEFAULT) -> MetricReport:
+def metric_check(omega: np.ndarray, *, tol: Tolerances = DEFAULT) -> MetricReport:
     """Scan all n^3 triples for the worst triangle violation.
+
+    ``omega`` is a plain (n, n) array; the ``symmetric`` verdict tests it
+    exactly, so it holds for any array from a constructor of this module
+    or of :mod:`forest`, which symmetrize Omega.
 
     The scan is exhaustive rather than sampled: n <= 64 keeps it cheap and
     the reported worst triple must be exact. The triangle inequality holds
     when the worst violation is within ``tol.bound(max Omega)``, the
     rounding of sums of entries of that size.
     """
-    w = omega.omega
-    n = w.shape[0]
+    w = omega
+    n = len(w)
     off = ~np.eye(n, dtype=bool)
     nonnegative = bool(w.min() >= 0.0) and bool((w[off] > 0.0).all())
     symmetric = bool(np.array_equal(w, w.T))
@@ -187,7 +178,7 @@ def _check_pair(
 
 def sum_rule(
     pair: SumRulePair,
-    omega: ResistanceMatrix,
+    omega: np.ndarray,
     F: np.ndarray,
     *,
     tol: Tolerances = DEFAULT,
@@ -209,10 +200,10 @@ def sum_rule(
         If K's row sums or the symmetry of M(K - I) are out of tolerance,
         naming the first failing pair of a stack.
     """
-    n = omega.n
+    n = len(omega)
     F = np.asarray(F, dtype=float)
     M, K, A = _check_pair(pair, n, tol)
-    lhs = (A * omega.omega).sum(axis=(1, 2))
+    lhs = (A * omega).sum(axis=(1, 2))
     rhs = 2.0 * np.trace(M @ (np.eye(n) - K) @ F, axis1=1, axis2=2)
     if np.ndim(pair.M) == 2:
         return float(lhs[0]), float(rhs[0])
@@ -265,15 +256,14 @@ def make_sum_rule_pair(n: int, seed, *, tol: Tolerances = DEFAULT) -> SumRulePai
 
 
 def kirchhoff_indices(
-    omega: ResistanceMatrix, pi: np.ndarray, t_av: float
+    omega: np.ndarray, pi: np.ndarray, t_av: float
 ) -> KirchhoffReport:
     """All three Kirchhoff index variants by direct double summation."""
-    w = omega.omega
     pi = np.asarray(pi, dtype=float)
-    n = omega.n
-    kirchhoff = float(w.sum())
-    multiplicative = float(pi @ w @ pi)
-    additive = float(2.0 * (pi @ w).sum())  # symmetry merges the two weights
+    n = len(omega)
+    kirchhoff = float(omega.sum())
+    multiplicative = float(pi @ omega @ pi)
+    additive = float(2.0 * (pi @ omega).sum())  # symmetry merges the two weights
     return KirchhoffReport(
         kirchhoff=kirchhoff,
         multiplicative=multiplicative,
@@ -285,7 +275,7 @@ def kirchhoff_indices(
 
 def foster_sum(
     chain: StochasticMatrix,
-    omega: ResistanceMatrix,
+    omega: np.ndarray,
     m: int,
     analysis: ChainAnalysis,
 ) -> tuple[float, float]:
@@ -312,15 +302,15 @@ def foster_sum(
     for _ in range(m):
         partial = partial + power - analysis.Pi
         power = power @ P  # P^m when the loop ends
-    lhs = float(((pi[:, None] * power).T * omega.omega).sum())
+    lhs = float(((pi[:, None] * power).T * omega).sum())
     rhs = float(2.0 * np.trace(pi[:, None] * partial))
     return lhs, rhs
 
 
-def foster_first_formula(chain: StochasticMatrix, omega: ResistanceMatrix) -> float:
+def foster_first_formula(chain: StochasticMatrix, omega: np.ndarray) -> float:
     """Unweighted edge sum, sum_{i,j} P[i, j] Omega[i, j].
 
     For a reversible doubly stochastic chain this collapses to 2(n - 1),
     mirroring Foster's classical edge-resistance sum on graphs.
     """
-    return float((chain.P * omega.omega).sum())
+    return float((chain.P * omega).sum())

@@ -96,6 +96,9 @@ class TestAnalyze:
             json.dumps({"states": 5, "P": two}),
             json.dumps({"states": "ab", "P": two}),
             json.dumps({"states": ["a", "a"], "P": two}),
+            # entries of P must be JSON numbers, not booleans or strings
+            json.dumps({"P": [[0.5, 0.5], [True, False]]}),
+            json.dumps({"P": [["0.5", "0.5"], ["0.5", "0.5"]]}),
         ):
             path.write_text(text)
             code, rep = run_json(capsys, "analyze", str(path))

@@ -160,8 +160,7 @@ class TestTwoStateByHand:
     def test_omega_matches_closed_form(self, two_state):
         fw = forest.enumerate_forests(two_state(0.3, 0.4))
         om = forest.omega_from_forest(fw)
-        assert om.method == "forest"
-        assert abs(om.omega[0, 1] - 2.0 / 0.7) < 1e-12
+        assert abs(om[0, 1] - 2.0 / 0.7) < 1e-12
 
     def test_hitting_recovery(self, two_state):
         fw = forest.enumerate_forests(two_state(0.3, 0.4))
@@ -170,6 +169,17 @@ class TestTwoStateByHand:
             [[0.0, 1.0 / 0.3], [1.0 / 0.4, 0.0]],
             atol=1e-12,
         )
+
+
+@pytest.mark.parametrize("n", [3, 16])
+@pytest.mark.parametrize("kind", chain.CHAIN_KINDS)
+def test_omega_is_read_only_symmetric_zero_diagonal(kind, n):
+    fw = forest.enumerate_forests(chain.generate_random_chain(n, kind, 0), max_n=16)
+    om = forest.omega_from_forest(fw)
+    assert type(om) is np.ndarray and om.shape == (n, n)
+    assert not om.flags.writeable
+    assert np.array_equal(om, om.T)
+    assert (np.diag(om) == 0.0).all()
 
 
 class TestCounterexample:
@@ -181,8 +191,8 @@ class TestCounterexample:
         assert_allclose(forest.stationary_from_forest(fw), ce.pi, atol=1e-12)
         assert_allclose(forest.hitting_from_forest(fw), ce.H, atol=1e-11)
         om = forest.omega_from_forest(fw)
-        assert abs(om.omega[0, 2] - 20.0) < 1e-9
-        assert_allclose(om.omega, ce.omega, atol=1e-9)
+        assert abs(om[0, 2] - 20.0) < 1e-9
+        assert_allclose(om, ce.omega, atol=1e-9)
 
     def test_diagonal_of_f_is_zero(self, ce):
         fw = forest.enumerate_forests(ce.chain)
@@ -199,7 +209,7 @@ class TestAgainstLinearAlgebra:
         assert np.abs(forest.stationary_from_forest(fw) - analysis.pi).max() <= 1e-10
         assert np.abs(forest.hitting_from_forest(fw) - analysis.H).max() <= 1e-9
         om_lin = resistance.omega_from_fundamental(analysis.F)
-        assert np.abs(forest.omega_from_forest(fw).omega - om_lin.omega).max() <= 1e-9
+        assert np.abs(forest.omega_from_forest(fw) - om_lin).max() <= 1e-9
 
     def test_birth_death_chain(self):
         mat = chain.generate_random_chain(5, "birth_death", 3)

@@ -27,44 +27,72 @@ class TestConstructors:
     def test_rank_one_chain_all_twos(self):
         mat = chain.validate([[0.5, 0.5], [0.5, 0.5]])
         analysis, om = _full(mat)
-        assert_allclose(om.omega, [[0.0, 2.0], [2.0, 0.0]], atol=1e-14)
+        assert_allclose(om, [[0.0, 2.0], [2.0, 0.0]], atol=1e-14)
         om_d = resistance.omega_from_group_inverse(analysis.D)
-        assert_allclose(om_d.omega, om.omega, atol=1e-14)
+        assert_allclose(om_d, om, atol=1e-14)
 
     def test_counterexample_values(self, ce):
-        _, om = _full(ce.chain)
-        w = om.omega
+        _, w = _full(ce.chain)
         assert abs(w[0, 2] - 20.0) < 1e-9
         assert abs(w[0, 1] + w[1, 2] - 140.0 / 11.0) < 1e-9
         assert_allclose(w, CE_OMEGA, rtol=0, atol=1e-9)
 
     def test_structure(self, ce):
-        _, om = _full(ce.chain)
-        assert (np.diag(om.omega) == 0.0).all()
-        assert np.array_equal(om.omega, om.omega.T)
-        assert (om.omega[~np.eye(3, dtype=bool)] > 0).all()
-        assert om.method == "fundamental"
+        analysis, om = _full(ce.chain)
+        assert (np.diag(om) == 0.0).all()
+        assert np.array_equal(om, om.T)
+        assert (om[~np.eye(3, dtype=bool)] > 0).all()
+        # Omega is a plain array: a writable copy reads the same everywhere
+        plain = np.array(om)
+        assert type(plain) is np.ndarray and plain.flags.writeable
+        pair = resistance.SumRulePair(M=np.diag(analysis.pi), K=analysis.Pi)
+        assert resistance.metric_check(plain) == resistance.metric_check(om)
+        assert resistance.sum_rule(pair, plain, analysis.F) == resistance.sum_rule(
+            pair, om, analysis.F
+        )
+        assert resistance.kirchhoff_indices(
+            plain, analysis.pi, analysis.t_av
+        ) == resistance.kirchhoff_indices(om, analysis.pi, analysis.t_av)
+
+    @pytest.mark.parametrize("n", [3, 16])
+    @pytest.mark.parametrize("kind", chain.CHAIN_KINDS)
+    def test_every_route_is_read_only_symmetric_zero_diagonal(self, kind, n):
+        mat = chain.generate_random_chain(n, kind, 0)
+        analysis, om = _full(mat)
+        routes = [
+            om,
+            resistance.omega_from_group_inverse(analysis.D),
+            resistance.omega_from_hitting(analysis.H, analysis.pi),
+        ]
+        if analysis.ergodicity.is_doubly_stochastic:
+            routes.append(resistance.omega_from_commute(analysis.H, analysis.ergodicity))
+        assert len(routes) == (4 if kind == "doubly_stochastic" else 3)
+        for w in routes:
+            assert type(w) is np.ndarray and w.shape == (n, n)
+            assert not w.flags.writeable
+            assert np.array_equal(w, w.T)
+            assert (np.diag(w) == 0.0).all()
 
     def test_group_inverse_route_agrees(self):
         for seed in range(4):
             mat = chain.generate_random_chain(7, "ergodic", seed)
             analysis, om = _full(mat)
             om_d = resistance.omega_from_group_inverse(analysis.D)
-            assert np.abs(om_d.omega - om.omega).max() < 1e-10
+            assert np.abs(om_d - om).max() < 1e-10
 
     @pytest.mark.parametrize("a,b", [(0.5, 0.5), (0.3, 0.2), (0.8, 0.1)])
     def test_hitting_route_closed_form(self, two_state, a, b):
         analysis, om = _full(two_state(a, b))
         om_h = resistance.omega_from_hitting(analysis.H, analysis.pi)
-        assert abs(om_h.omega[0, 1] - 2.0 / (a + b)) < 1e-12
-        assert np.abs(om_h.omega - om.omega).max() < 1e-12
+        assert abs(om_h[0, 1] - 2.0 / (a + b)) < 1e-12
+        assert np.abs(om_h - om).max() < 1e-12
 
     def test_commute_route_doubly_stochastic(self):
         mat = chain.generate_random_chain(6, "doubly_stochastic", 2)
         rep = chain.check_ergodicity(mat)
         analysis, om = _full(mat)
         om_c = resistance.omega_from_commute(analysis.H, rep)
-        assert np.abs(om_c.omega - om.omega).max() < 1e-9
+        assert np.abs(om_c - om).max() < 1e-9
 
     def test_commute_route_rejects_general_chain(self, ce):
         rep = chain.check_ergodicity(ce.chain)
@@ -97,9 +125,8 @@ class TestMetricCheck:
         assert report.worst_triple is None
 
 
-def ref_metric_check(omega, *, tol=DEFAULT):
+def ref_metric_check(w, *, tol=DEFAULT):
     """The triangle scan with two n^3 temporaries, as it was."""
-    w = omega.omega
     n = w.shape[0]
     off = ~np.eye(n, dtype=bool)
     nonnegative = bool(w.min() >= 0.0) and bool((w[off] > 0.0).all())
@@ -132,7 +159,7 @@ def _scan_inputs():
 def test_metric_check_matches_two_temporary_scan():
     for name, mat in _scan_inputs():
         _, om = _full(mat)
-        root = resistance.resistance_matrix(np.sqrt(om.omega), om.method)
+        root = resistance.resistance_matrix(np.sqrt(om))
         for w in (om, root):
             assert resistance.metric_check(w) == ref_metric_check(w), name
 
@@ -152,7 +179,7 @@ def ref_make_sum_rule_pair(n, seed, *, tol=DEFAULT):
 
 def ref_sum_rule(pair, omega, F, *, tol=DEFAULT):
     """Both sides for one 2-D pair, as it was before pairs were stacked."""
-    n = omega.n
+    n = len(omega)
     M, K = pair.M, pair.K
     row_dev = np.abs(K.sum(axis=1) - 1.0).max()
     if row_dev > tol.pair_hypothesis:
@@ -161,7 +188,7 @@ def ref_sum_rule(pair, omega, F, *, tol=DEFAULT):
     asym = np.abs(A - A.T).max()
     if asym > tol.pair_hypothesis:
         raise HypothesisViolatedError(f"M(K - I) asymmetric by {asym:.3e}")
-    return float((A * omega.omega).sum()), float(2.0 * np.trace(M @ (np.eye(n) - K) @ F))
+    return float((A * omega).sum()), float(2.0 * np.trace(M @ (np.eye(n) - K) @ F))
 
 
 STACK_SIZES = (2, 3, 4, 8, 9, 17, 33, 64)
@@ -174,7 +201,7 @@ class TestSumRule:
         lhs, rhs = resistance.sum_rule(pair, om, analysis.F)
         pi = analysis.pi
         direct = sum(
-            pi[i] * pi[j] * om.omega[i, j] for i in range(3) for j in range(3)
+            pi[i] * pi[j] * om[i, j] for i in range(3) for j in range(3)
         )
         trace_form = 2.0 * (pi @ np.diag(analysis.F) - pi @ pi)
         assert abs(lhs - direct) < 1e-12
@@ -415,11 +442,10 @@ class TestBirthDeathViolation:
         found = 0
         for seed in range(40):
             mat = chain.generate_random_chain(3, "birth_death", seed)
-            analysis, om = _full(mat)
+            analysis, w = _full(mat)
             pi = analysis.pi
             if pi[0] > pi[1] and pi[2] > pi[1]:
                 found += 1
-                w = om.omega
                 assert w[0, 2] > w[0, 1] + w[1, 2]
         assert found >= 1
 
@@ -431,5 +457,5 @@ def test_representation_equivalence_across_kinds():
         om = resistance.omega_from_fundamental(analysis.F)
         om_d = resistance.omega_from_group_inverse(analysis.D)
         om_h = resistance.omega_from_hitting(analysis.H, analysis.pi)
-        assert np.abs(om_d.omega - om.omega).max() < 1e-9
-        assert np.abs(om_h.omega - om.omega).max() < 1e-9
+        assert np.abs(om_d - om).max() < 1e-9
+        assert np.abs(om_h - om).max() < 1e-9

@@ -15,7 +15,8 @@ exception that escapes it; library cases record the result or the exception
 of a direct ``linalg.lu_solve`` call.
 
 The command lines cover every subcommand in human and JSON output, input
-and usage errors, non-ergodic and one-state chains, Monte Carlo legs on
+and usage errors, non-ergodic and one-state chains, slow-mixing chains
+whose checks fail on rounding, Monte Carlo legs on
 n = 16 chains and replica counts near and past the int64 range, and every
 ``--help``.
 
@@ -80,6 +81,10 @@ FILES = {
     "numeric_labels.json": '{"states": [3, 7.5], "P": [[0.8, 0.2], [0.4, 0.6]]}',
     "bad_json.json": "{not json",
     "bad_states.json": '{"states": ["a", "a"], "P": [[0.5, 0.5], [0.5, 0.5]]}',
+    "bool_p.json": '{"P": [[0.5, 0.5], [true, false]]}',
+    "string_p.json": '{"P": [["0.5", "0.5"], ["0.5", "0.5"]]}',
+    # not reversible, but detailed balance fails by only 3.3e-10
+    "rotating_1e-9.csv": "0.999999999,1e-09,0\n0,0.999999999,1e-09\n1e-09,0,0.999999999\n",
     "no_p.json": '{"Q": [[1.0]]}',
     "ragged.csv": "0.5,0.5\n1\n",
     "nonsquare.csv": "0.5,0.5\n",
@@ -138,7 +143,7 @@ def command_lines() -> list[tuple[list[str], dict]]:
 
     # input errors
     for name in ("missing.csv", "bad_json.json", "bad_states.json", "no_p.json",
-                 "ragged.csv", "nonsquare.csv", "text.csv", "empty.csv",
+                 "bool_p.json", "string_p.json", "ragged.csv", "nonsquare.csv", "text.csv", "empty.csv",
                  "negative.csv", "row_sum.csv", "nan.csv"):
         both("analyze", name)
     for name in ("reducible.csv", "absorbing.csv", "cycle2.csv", "cycle3.csv"):
@@ -191,6 +196,9 @@ def command_lines() -> list[tuple[list[str], dict]]:
         both("analyze", name)
         both("sumrule", name, "--trials", "10")
         both("forest-verify", name, "--cap", "16")
+    both("analyze", "rotating_1e-9.csv")
+    both("sumrule", "rotating_1e-9.csv")
+    both("forest-verify", "rotating_1e-9.csv")
     both("analyze", "ce.csv", "--eigentime", "off")
     both("analyze", "ce.csv", "--forest-cap", "2")
     both("analyze", "ce.csv", "--simulate", "--replicas", "400", "--seed", "4")
