@@ -6,7 +6,6 @@ chain."""
 import numpy as np
 
 from mrdist import (
-    SumRulePair,
     analyze,
     eigenvalues,
     eigentime_constant,
@@ -30,17 +29,19 @@ n = mat.n
 # --- the generalized sum rule -------------------------------------------
 # any (M, K) with K 1 = 1 and M(K - I) symmetric satisfies
 #   sum_{i,j} (M(K-I))_{ij} Omega_{ij} = 2 Tr(M(I-K)F)
+# pairs come as (k, n, n) stacks M and K, and both sides as (k,) arrays
 print("random sum-rule pairs:")
-for seed in range(5):
-    pair = make_sum_rule_pair(n, seed)
-    lhs, rhs = sum_rule(pair, om, analysis.F)
-    print(f"  seed {seed}: lhs = {lhs:+.12f}   rhs = {rhs:+.12f}   "
-          f"gap = {abs(lhs - rhs):.2e}")
+seeds = range(5)
+M, K = make_sum_rule_pair(n, seeds)
+lhs, rhs = sum_rule(M, K, om, analysis.F)
+for seed, left, right in zip(seeds, lhs, rhs):
+    print(f"  seed {seed}: lhs = {left:+.12f}   rhs = {right:+.12f}   "
+          f"gap = {abs(left - right):.2e}")
 
-# the stationary pair M = diag(pi), K = Pi recovers the multiplicative index
-pair = SumRulePair(M=np.diag(analysis.pi), K=analysis.Pi)
-lhs, rhs = sum_rule(pair, om, analysis.F)
-print(f"stationary pair: lhs = {lhs:.12f} (multiplicative Kirchhoff index)")
+# the stationary pair M = diag(pi), K = Pi, a stack of one, recovers the
+# multiplicative index
+lhs, rhs = sum_rule(np.diag(analysis.pi)[None], analysis.Pi[None], om, analysis.F)
+print(f"stationary pair: lhs = {lhs[0]:.12f} (multiplicative Kirchhoff index)")
 
 # --- Kirchhoff indices ----------------------------------------------------
 report = kirchhoff_indices(om, analysis.pi, analysis.t_av)

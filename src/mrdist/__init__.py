@@ -46,7 +46,6 @@ from .linalg import eigenvalues, inverse, lu_solve
 from .resistance import (
     KirchhoffReport,
     MetricReport,
-    SumRulePair,
     foster_first_formula,
     foster_sum,
     kirchhoff_indices,

@@ -56,10 +56,6 @@ class ForestWeights:
     q_total: float        # sum of q_roots
     f: np.ndarray         # f[i, j]: 2-tree forests with i in the tree not rooted at j
 
-    @property
-    def n(self) -> int:
-        return len(self.q_roots)
-
 
 def enumerate_forests(
     chain: StochasticMatrix,

@@ -18,6 +18,10 @@ reversible chains.
 Omega is a plain read-only (n, n) array. Every constructor returns it
 through :func:`resistance_matrix`, which symmetrizes it and sets its
 diagonal to exactly 0; the functions that take Omega rely on that.
+
+Sum-rule pairs come as (k, n, n) stacks M and K, pair t being
+(M[t], K[t]); one pair is a stack of one. :func:`sum_rule` returns (k,)
+arrays and :func:`make_sum_rule_pair` builds one random pair per seed.
 """
 
 from __future__ import annotations
@@ -45,14 +49,6 @@ class MetricReport:
     triangle_holds: bool
     worst_triple: tuple[int, int, int] | None
     worst_violation: float
-
-
-@dataclass(frozen=True, eq=False)
-class SumRulePair:
-    """Matrices (M, K) intended to satisfy the sum-rule hypotheses."""
-
-    M: np.ndarray
-    K: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -145,21 +141,39 @@ def metric_check(omega: np.ndarray, *, tol: Tolerances = DEFAULT) -> MetricRepor
     )
 
 
-def _check_pair(
-    pair: SumRulePair, n: int, tol: Tolerances
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Validate the sum-rule hypotheses of a pair or a stack of pairs.
+def sum_rule(
+    M: np.ndarray,
+    K: np.ndarray,
+    omega: np.ndarray,
+    F: np.ndarray,
+    *,
+    tol: Tolerances = DEFAULT,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of the generalized sum rule for a stack of k pairs (M, K),
+    computed independently.
 
-    Returns the (k, n, n) stacks M, K and A = M(K - I); a 2-D pair is a
-    stack of one. The error names the first pair, in stack order, that
-    fails either hypothesis, with that pair's value.
+    M and K are (k, n, n) stacks; pair t is (M[t], K[t]), and it gets the
+    arithmetic it would get in a stack of one.
+
+    Returns
+    -------
+    (lhs, rhs) : tuple of (k,) ndarray
+        lhs = sum_{i,j} (M(K - I))[i, j] Omega[i, j],
+        rhs = 2 Tr(M(I - K)F).
+
+    Raises
+    ------
+    HypothesisViolatedError
+        If M or K is not a (k, n, n) stack, or if K's row sums or the
+        symmetry of M(K - I) are out of tolerance; the error names the
+        first failing pair of the stack, with that pair's value.
     """
-    M, K = np.asarray(pair.M, dtype=float), np.asarray(pair.K, dtype=float)
-    if M.ndim not in (2, 3) or M.shape[-2:] != (n, n) or K.shape != M.shape:
+    n = len(omega)
+    M, K, F = (np.asarray(x, dtype=float) for x in (M, K, F))
+    if M.ndim != 3 or M.shape[1:] != (n, n) or K.shape != M.shape:
         raise HypothesisViolatedError(
             f"pair shapes {M.shape}, {K.shape} do not match chain size {n}"
         )
-    M, K = M.reshape(-1, n, n), K.reshape(-1, n, n)
     row_dev = np.abs(K.sum(axis=2) - 1.0).max(axis=1)
     A = M @ (K - np.eye(n))
     asym = np.abs(A - A.transpose(0, 2, 1)).max(axis=(1, 2))
@@ -167,46 +181,10 @@ def _check_pair(
     if failed.size:
         first = failed[0]
         if row_dev[first] > tol.pair_hypothesis:
-            raise HypothesisViolatedError(
-                f"K row sums deviate from 1 by {row_dev[first]:.3e}"
-            )
-        raise HypothesisViolatedError(
-            f"M(K - I) asymmetric by {asym[first]:.3e}"
-        )
-    return M, K, A
-
-
-def sum_rule(
-    pair: SumRulePair,
-    omega: np.ndarray,
-    F: np.ndarray,
-    *,
-    tol: Tolerances = DEFAULT,
-) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
-    """Both sides of the generalized sum rule, computed independently.
-
-    ``pair`` holds one (n, n) pair or a stack of k, as (k, n, n) M and K.
-    Each pair of a stack gets the arithmetic it would get alone.
-
-    Returns
-    -------
-    (lhs, rhs) : tuple of float, or of (k,) ndarray for a stack
-        lhs = sum_{i,j} (M(K - I))[i, j] Omega[i, j],
-        rhs = 2 Tr(M(I - K)F).
-
-    Raises
-    ------
-    HypothesisViolatedError
-        If K's row sums or the symmetry of M(K - I) are out of tolerance,
-        naming the first failing pair of a stack.
-    """
-    n = len(omega)
-    F = np.asarray(F, dtype=float)
-    M, K, A = _check_pair(pair, n, tol)
+            raise HypothesisViolatedError(f"K row sums deviate from 1 by {row_dev[first]:.3e}")
+        raise HypothesisViolatedError(f"M(K - I) asymmetric by {asym[first]:.3e}")
     lhs = (A * omega).sum(axis=(1, 2))
     rhs = 2.0 * np.trace(M @ (np.eye(n) - K) @ F, axis1=1, axis2=2)
-    if np.ndim(pair.M) == 2:
-        return float(lhs[0]), float(rhs[0])
     return lhs, rhs
 
 
@@ -225,34 +203,33 @@ def _pair_inputs(n: int, seeds) -> tuple[np.ndarray, np.ndarray]:
     return a, m
 
 
-def make_sum_rule_pair(n: int, seed, *, tol: Tolerances = DEFAULT) -> SumRulePair:
-    """Random (M, K) satisfying both sum-rule hypotheses by construction.
+def make_sum_rule_pair(
+    n: int, seeds, *, tol: Tolerances = DEFAULT
+) -> tuple[np.ndarray, np.ndarray]:
+    """Random (M, K) stacks satisfying both sum-rule hypotheses by construction.
 
-    Draws a symmetric A = B + B^T, double-centers it so its row and column
-    sums vanish (which preserves symmetry), draws M with each diagonal entry
-    raised by its row's absolute sum plus 1, and sets K = I + M^{-1} A. Then
-    K 1 = 1 and M(K - I) = A is symmetric. B and then M come from
-    ``default_rng(seed)``, so a pair is deterministic per seed.
+    For each seed, draws a symmetric A = B + B^T, double-centers it so its
+    row and column sums vanish (which preserves symmetry), draws M with each
+    diagonal entry raised by its row's absolute sum plus 1, and sets
+    K = I + M^{-1} A. Then K 1 = 1 and M(K - I) = A is symmetric. B and then
+    M come from ``default_rng(seed)``, so a pair is deterministic per seed.
 
-    ``seed`` is an int, giving (n, n) M and K, or a sequence of k seeds,
-    giving (k, n, n) stacks whose trial t is the pair of ``seed[t]``; every
-    trial is built and solved in one :func:`linalg.lu_solve` call.
+    ``seeds`` is a sequence of k seeds. The read-only (k, n, n) stacks M and
+    K hold the pair of ``seeds[t]`` at index t; every pair is built and
+    solved in one :func:`linalg.lu_solve` call.
 
     M is strictly row diagonally dominant with every margin at least 1, so
     ||M^{-1}||_inf <= 1 (Varah 1975) and its LU pivots stay far above the
     default ``tol.pivot``. A threshold that rejects one of them raises
-    lu_solve's SingularMatrixError, for the first such trial of the stack.
+    lu_solve's SingularMatrixError, for the first such pair of the stack.
     """
     if n < 2:
         raise ValueError(f"pair generation needs n >= 2, got {n}")
-    single = np.ndim(seed) == 0
-    a, m = _pair_inputs(n, [seed] if single else list(seed))
+    a, m = _pair_inputs(n, seeds)
     k = np.eye(n) + linalg.lu_solve(m, a, tol=tol)
-    if single:
-        m, k = m[0], k[0]
     m.setflags(write=False)
     k.setflags(write=False)
-    return SumRulePair(M=m, K=k)
+    return m, k
 
 
 def kirchhoff_indices(

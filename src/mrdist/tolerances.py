@@ -16,6 +16,7 @@ bounded by ``tol.bound(scale) = identity_relative * max(1, |scale|)``:
     fundamental_residual, fundamental_row_sums,
       stationary_projection, multiplicative_kirchhoff        max |F|
     group_inverse_row_sums, group_inverse_axioms             max |D|
+      (the axioms' quadratic residual D(I - P)D - D is divided by max(1, max |D|))
     random_target_spread                                     t_av
     representation_*, forest_omega, counterexample Omegas,
       triangle_inequality, metric_check's triangle_holds     max Omega

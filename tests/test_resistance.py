@@ -45,11 +45,11 @@ class TestConstructors:
         # Omega is a plain array: a writable copy reads the same everywhere
         plain = np.array(om)
         assert type(plain) is np.ndarray and plain.flags.writeable
-        pair = resistance.SumRulePair(M=np.diag(analysis.pi), K=analysis.Pi)
+        M, K = np.diag(analysis.pi)[None], analysis.Pi[None]
         assert resistance.metric_check(plain) == resistance.metric_check(om)
-        assert resistance.sum_rule(pair, plain, analysis.F) == resistance.sum_rule(
-            pair, om, analysis.F
-        )
+        for got, ref in zip(resistance.sum_rule(M, K, plain, analysis.F),
+                            resistance.sum_rule(M, K, om, analysis.F)):
+            assert np.array_equal(got, ref)
         assert resistance.kirchhoff_indices(
             plain, analysis.pi, analysis.t_av
         ) == resistance.kirchhoff_indices(om, analysis.pi, analysis.t_av)
@@ -165,7 +165,7 @@ def test_metric_check_matches_two_temporary_scan():
 
 
 def ref_make_sum_rule_pair(n, seed, *, tol=DEFAULT):
-    """One 2-D pair built on its own, as it was before pairs were stacked."""
+    """One (n, n) pair (M, K) built on its own, without stacks."""
     rng = np.random.default_rng(seed)
     b = rng.standard_normal((n, n))
     a = b + b.T
@@ -174,13 +174,12 @@ def ref_make_sum_rule_pair(n, seed, *, tol=DEFAULT):
     a = a - r[:, None] / n - r[None, :] / n + total / n**2
     m = rng.standard_normal((n, n))
     m = m + np.diag(np.abs(m).sum(axis=1) + 1.0)
-    return resistance.SumRulePair(M=m, K=np.eye(n) + linalg.lu_solve(m, a, tol=tol))
+    return m, np.eye(n) + linalg.lu_solve(m, a, tol=tol)
 
 
-def ref_sum_rule(pair, omega, F, *, tol=DEFAULT):
-    """Both sides for one 2-D pair, as it was before pairs were stacked."""
+def ref_sum_rule(M, K, omega, F, *, tol=DEFAULT):
+    """Both sides, as floats, for one (n, n) pair (M, K), without stacks."""
     n = len(omega)
-    M, K = pair.M, pair.K
     row_dev = np.abs(K.sum(axis=1) - 1.0).max()
     if row_dev > tol.pair_hypothesis:
         raise HypothesisViolatedError(f"K row sums deviate from 1 by {row_dev:.3e}")
@@ -191,14 +190,20 @@ def ref_sum_rule(pair, omega, F, *, tol=DEFAULT):
     return float((A * omega).sum()), float(2.0 * np.trace(M @ (np.eye(n) - K) @ F))
 
 
+def one_pair_sides(M, K, omega, F, *, tol=DEFAULT):
+    """Both sides, as floats, for one (n, n) pair passed as a stack of one."""
+    lhs, rhs = resistance.sum_rule(M[None], K[None], omega, F, tol=tol)
+    assert lhs.shape == rhs.shape == (1,)
+    return float(lhs[0]), float(rhs[0])
+
+
 STACK_SIZES = (2, 3, 4, 8, 9, 17, 33, 64)
 
 
 class TestSumRule:
     def test_stationary_pair_equals_multiplicative_index(self, ce):
         analysis, om = _full(ce.chain)
-        pair = resistance.SumRulePair(M=np.diag(analysis.pi), K=analysis.Pi)
-        lhs, rhs = resistance.sum_rule(pair, om, analysis.F)
+        lhs, rhs = one_pair_sides(np.diag(analysis.pi), analysis.Pi, om, analysis.F)
         pi = analysis.pi
         direct = sum(
             pi[i] * pi[j] * om[i, j] for i in range(3) for j in range(3)
@@ -210,8 +215,7 @@ class TestSumRule:
 
     def test_identity_pair_is_zero(self, ce):
         analysis, om = _full(ce.chain)
-        pair = resistance.SumRulePair(M=np.diag(analysis.pi), K=np.eye(3))
-        lhs, rhs = resistance.sum_rule(pair, om, analysis.F)
+        lhs, rhs = one_pair_sides(np.diag(analysis.pi), np.eye(3), om, analysis.F)
         assert lhs == 0.0
         assert abs(rhs) < 1e-14
 
@@ -219,37 +223,83 @@ class TestSumRule:
         for seed in range(3):
             mat = chain.generate_random_chain(6 + seed, "ergodic", seed)
             analysis, om = _full(mat)
-            for k in range(200):
-                pair = resistance.make_sum_rule_pair(mat.n, 1000 * seed + k)
-                lhs, rhs = resistance.sum_rule(pair, om, analysis.F)
-                assert abs(lhs - rhs) <= 1e-8 * (1.0 + abs(lhs))
+            M, K = resistance.make_sum_rule_pair(mat.n, range(1000 * seed, 1000 * seed + 200))
+            lhs, rhs = resistance.sum_rule(M, K, om, analysis.F)
+            assert lhs.shape == rhs.shape == (200,)
+            assert (np.abs(lhs - rhs) <= 1e-8 * (1.0 + np.abs(lhs))).all()
 
     def test_row_sum_hypothesis_enforced(self, ce):
         analysis, om = _full(ce.chain)
-        bad = resistance.SumRulePair(M=np.diag(analysis.pi), K=2.0 * np.eye(3))
-        with pytest.raises(HypothesisViolatedError):
-            resistance.sum_rule(bad, om, analysis.F)
+        with pytest.raises(HypothesisViolatedError, match="K row sums deviate"):
+            one_pair_sides(np.diag(analysis.pi), 2.0 * np.eye(3), om, analysis.F)
 
     def test_symmetry_hypothesis_enforced(self, ce):
         analysis, om = _full(ce.chain)
         # K = P has unit row sums, but diag(1) P - diag(1) is not symmetric
-        bad = resistance.SumRulePair(M=np.eye(3), K=ce.chain.P)
-        with pytest.raises(HypothesisViolatedError):
-            resistance.sum_rule(bad, om, analysis.F)
+        with pytest.raises(HypothesisViolatedError, match=re.escape("M(K - I) asymmetric")):
+            one_pair_sides(np.eye(3), ce.chain.P, om, analysis.F)
 
     @pytest.mark.parametrize("n", STACK_SIZES)
     def test_stack_matches_one_at_a_time(self, n):
         mat = chain.generate_random_chain(n, "ergodic", n)
         analysis, om = _full(mat)
         seeds = range(100 * n, 100 * n + 12)
-        lhs, rhs = resistance.sum_rule(
-            resistance.make_sum_rule_pair(n, seeds), om, analysis.F
-        )
+        M, K = resistance.make_sum_rule_pair(n, seeds)
+        lhs, rhs = resistance.sum_rule(M, K, om, analysis.F)
         assert lhs.shape == rhs.shape == (12,)
         for t, seed in enumerate(seeds):
-            ref = ref_sum_rule(ref_make_sum_rule_pair(n, seed), om, analysis.F)
+            ref = ref_sum_rule(*ref_make_sum_rule_pair(n, seed), om, analysis.F)
             assert (lhs[t], rhs[t]) == ref
-            assert resistance.sum_rule(resistance.make_sum_rule_pair(n, seed), om, analysis.F) == ref
+            M1, K1 = resistance.make_sum_rule_pair(n, [seed])
+            assert one_pair_sides(M1[0], K1[0], om, analysis.F) == ref
+
+    @pytest.mark.parametrize(
+        "kind, n",
+        [("counterexample", 3)]
+        + [(kind, n) for kind in ("reversible", "birth_death") for n in (3, 16, 64)],
+    )
+    def test_canonical_stack_matches_one_at_a_time(self, kind, n):
+        # the stationary pair and the power pairs P, P^2, P^3 with one
+        # broadcast M = diag(pi), as `analyze` and `sumrule` evaluate them
+        if kind == "counterexample":
+            mat = cli.counterexample_chain()
+        else:
+            mat = chain.generate_random_chain(n, kind, n)
+        analysis, om = _full(mat)
+        P2 = mat.P @ mat.P
+        pairs = {
+            "canonical_stationary_pair": analysis.Pi,
+            "canonical_power_pair_m1": mat.P,
+            "canonical_power_pair_m2": P2,
+            "canonical_power_pair_m3": P2 @ mat.P,
+        }
+        K = np.stack(list(pairs.values()))
+        M = np.broadcast_to(np.diag(analysis.pi), K.shape)
+        lhs, rhs = resistance.sum_rule(M, K, om, analysis.F)
+        checks = cli._canonical_pair_checks(pairs, analysis, om, DEFAULT)
+        assert list(checks) == list(pairs)
+        for t, (name, K_t) in enumerate(pairs.items()):
+            ref = ref_sum_rule(np.diag(analysis.pi), K_t, om, analysis.F)
+            assert (lhs[t], rhs[t]) == ref
+            assert checks[name] == cli._identity_check(*ref, DEFAULT)
+
+    @pytest.mark.parametrize(
+        "shape_m, shape_k",
+        [
+            ((3, 3), (3, 3)),           # one pair, not a stack of one
+            ((1, 1, 3, 3), (1, 1, 3, 3)),
+            ((2, 3, 3), (1, 3, 3)),
+            ((1, 4, 4), (1, 4, 4)),     # n does not match Omega
+        ],
+    )
+    def test_only_stacks_of_n_by_n_pairs_are_accepted(self, ce, shape_m, shape_k):
+        analysis, om = _full(ce.chain)
+        n_m, n_k = shape_m[-1], shape_k[-1]
+        M = np.broadcast_to(np.eye(n_m), shape_m)
+        K = np.broadcast_to(np.full((n_k, n_k), 1.0 / n_k), shape_k)
+        message = f"pair shapes {shape_m}, {shape_k} do not match chain size 3"
+        with pytest.raises(HypothesisViolatedError, match=re.escape(message)):
+            resistance.sum_rule(M, K, om, analysis.F)
 
     @pytest.mark.parametrize(
         "defects, message",
@@ -275,15 +325,15 @@ class TestSumRule:
             elif kind == "row":
                 K *= 1.0 + size
             Ks.append(K)
-        pair = resistance.SumRulePair(M=np.stack([np.eye(3)] * len(Ks)), K=np.stack(Ks))
+        M = np.stack([np.eye(3)] * len(Ks))
         with pytest.raises(HypothesisViolatedError, match=re.escape(message)):
-            resistance.sum_rule(pair, om, analysis.F)
+            resistance.sum_rule(M, np.stack(Ks), om, analysis.F)
 
     def test_empty_stack(self, ce):
         analysis, om = _full(ce.chain)
-        pair = resistance.make_sum_rule_pair(3, [])
-        assert pair.M.shape == pair.K.shape == (0, 3, 3)
-        lhs, rhs = resistance.sum_rule(pair, om, analysis.F)
+        M, K = resistance.make_sum_rule_pair(3, [])
+        assert M.shape == K.shape == (0, 3, 3)
+        lhs, rhs = resistance.sum_rule(M, K, om, analysis.F)
         assert lhs.shape == rhs.shape == (0,)
         lhs, rhs = cli._random_pair_sides(3, range(5, 5), om, analysis.F, DEFAULT)
         assert lhs.shape == rhs.shape == (0,)
@@ -307,8 +357,8 @@ class TestSumRule:
         expected = []
         try:
             for seed in range(40):
-                pair = ref_make_sum_rule_pair(3, seed, tol=tol)
-                expected.append(ref_sum_rule(pair, om, analysis.F, tol=tol))
+                M, K = ref_make_sum_rule_pair(3, seed, tol=tol)
+                expected.append(ref_sum_rule(M, K, om, analysis.F, tol=tol))
         except MRDistError as exc:
             expected = (type(exc), str(exc))
         try:
@@ -323,31 +373,35 @@ class TestMakeSumRulePair:
     def test_invariants_over_seeds(self):
         for seed in range(50):
             n = 2 + seed % 9
-            pair = resistance.make_sum_rule_pair(n, seed)
-            assert np.abs(pair.K.sum(axis=1) - 1.0).max() < 1e-10
-            a = pair.M @ (pair.K - np.eye(n))
+            (M,), (K,) = resistance.make_sum_rule_pair(n, [seed])
+            assert np.abs(K.sum(axis=1) - 1.0).max() < 1e-10
+            a = M @ (K - np.eye(n))
             assert np.abs(a - a.T).max() < 1e-10
 
     def test_deterministic(self):
-        first = resistance.make_sum_rule_pair(5, 77)
-        second = resistance.make_sum_rule_pair(5, 77)
-        assert np.array_equal(first.M, second.M)
-        assert np.array_equal(first.K, second.K)
+        first = resistance.make_sum_rule_pair(5, [77, 78])
+        second = resistance.make_sum_rule_pair(5, [77, 78])
+        assert np.array_equal(first[0], second[0])
+        assert np.array_equal(first[1], second[1])
+
+    def test_stacks_are_read_only(self):
+        for stack in resistance.make_sum_rule_pair(4, range(3)):
+            assert stack.shape == (3, 4, 4) and not stack.flags.writeable
 
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
-            resistance.make_sum_rule_pair(1, 0)
+            resistance.make_sum_rule_pair(1, [0])
 
     @pytest.mark.parametrize("n", STACK_SIZES)
     def test_stack_matches_one_at_a_time(self, n):
         seeds = range(100 * n, 100 * n + 12)
-        pair = resistance.make_sum_rule_pair(n, seeds)
-        assert pair.M.shape == pair.K.shape == (12, n, n)
+        M, K = resistance.make_sum_rule_pair(n, seeds)
+        assert M.shape == K.shape == (12, n, n)
         for t, seed in enumerate(seeds):
-            ref = ref_make_sum_rule_pair(n, seed)
-            assert np.array_equal(pair.M[t], ref.M) and np.array_equal(pair.K[t], ref.K)
-            one = resistance.make_sum_rule_pair(n, seed)
-            assert np.array_equal(one.M, ref.M) and np.array_equal(one.K, ref.K)
+            ref_m, ref_k = ref_make_sum_rule_pair(n, seed)
+            assert np.array_equal(M[t], ref_m) and np.array_equal(K[t], ref_k)
+            (one_m,), (one_k,) = resistance.make_sum_rule_pair(n, [seed])
+            assert np.array_equal(one_m, ref_m) and np.array_equal(one_k, ref_k)
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_every_pivot_of_m_is_at_least_one(self, n):
@@ -364,7 +418,7 @@ class TestMakeSumRulePair:
         with pytest.raises(SingularMatrixError) as expected:
             linalg.lu_solve(m[0], np.eye(3), tol=tol)
         assert str(expected.value).startswith("pivot magnitude ")
-        for seeds in (range(12), 1):
+        for seeds in (range(12), [1]):
             with pytest.raises(SingularMatrixError) as info:
                 resistance.make_sum_rule_pair(3, seeds, tol=tol)
             assert str(info.value) == str(expected.value)

@@ -77,6 +77,24 @@ def test_counterexample_bounds_follow_their_scales(capsys):
     assert set(checks) == set(scales) | unscaled
 
 
+def test_group_inverse_axioms_scale_the_quadratic_residual(capsys, tmp_path):
+    # two blocks coupled at 1e-8: max|D| = 2.5e7, and D(I - P)D - D alone
+    # exceeds bound(max|D|) by rounding that grows with max|D|^2
+    path = tmp_path / "two_block.csv"
+    path.write_text("0.5,0.49999999,1e-8,0\n0.5,0.5,0,0\n0,0,0.5,0.5\n1e-8,0,0.5,0.49999999\n")
+    _, rep = run_json(capsys, "analyze", str(path))
+    mat = cli.load_chain(str(path))
+    D, ip = chain.analyze(mat).D, np.eye(4) - mat.P
+    max_d = np.abs(D).max()
+    quadratic = np.abs(D @ ip @ D - D).max()
+    linear = max(np.abs(ip @ D @ ip - ip).max(), np.abs(ip @ D - D @ ip).max())
+    record = rep["checks"]["group_inverse_axioms"]
+    assert max_d > 1e7 and quadratic > DEFAULT.bound(max_d)
+    assert record["lhs"] == max(linear, quadratic / max_d)
+    assert record["tolerance"] == DEFAULT.bound(max_d)
+    assert record["pass"]
+
+
 def test_doubly_stochastic_bounds_follow_their_scales(capsys, tmp_path):
     path = tmp_path / "cycle.csv"
     path.write_text("0.5,0.25,0.25\n0.25,0.5,0.25\n0.25,0.25,0.5\n")

@@ -38,7 +38,7 @@ TABLE = {
     "two_block_1e-8": (
         "0.5,0.49999999,1e-8,0\n0.5,0.5,0,0\n0,0,0.5,0.5\n1e-8,0,0.5,0.49999999\n",
         (
-            (2, ["forest_hitting", "forest_omega", "group_inverse_axioms", *ORACLE]),
+            (2, ["forest_hitting", "forest_omega", *ORACLE]),
             (0, []),
             (2, ["forest_hitting", "forest_omega"]),
         ),
@@ -47,8 +47,7 @@ TABLE = {
     "rotating_1e-9": (
         "0.999999999,1e-09,0\n0,0.999999999,1e-09\n1e-09,0,0.999999999\n",
         (
-            (2, sorted(FOREST + FOSTER + ORACLE + [
-                "group_inverse_axioms", "representation_commute_scaled"])),
+            (2, sorted(FOREST + FOSTER + ORACLE + ["representation_commute_scaled"])),
             (1, "HypothesisViolatedError"),
             (2, FOREST),
         ),
