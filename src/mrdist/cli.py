@@ -4,12 +4,12 @@ Subcommands: analyze, sumrule, forest-verify, simulate, counterexample,
 generate. A chain file whose name ends in .json is JSON ({"states": [...],
 "P": [[...], ...]}, labels optional); any other name is CSV (n lines of n
 comma-separated decimals, no header), for reading and writing alike.
-Reports are printed to stdout as human tables (6 significant digits) or as
-JSON with 17-significant-digit floats for reproducibility. Every identity
-check is an object with exactly the fields {lhs, rhs, abs_err, tolerance,
-pass}. Exit codes: 0 all checks pass, 1 input or usage error, 2 identity
-check failure. The MR_SEED environment variable supplies a default seed;
-an explicit --seed wins.
+A report's matrix-valued fields are read-only float64 arrays. Reports are
+printed to stdout as human tables (6 significant digits) or as JSON with
+17-significant-digit floats for reproducibility. Every identity check is an
+object with exactly the fields {lhs, rhs, abs_err, tolerance, pass}. Exit
+codes: 0 all checks pass, 1 input or usage error, 2 identity check failure.
+The MR_SEED environment variable supplies a default seed; --seed wins.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import functools
 import json
 import os
 import sys
-from itertools import combinations, repeat
+from itertools import combinations, islice, repeat
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -114,8 +114,8 @@ def save_chain(path: str, mat: chain.StochasticMatrix) -> None:
     if _chain_format(path) == "json":
         text = dumps_json({"states": _labels(mat), "P": mat.P}) + "\n"
     else:
-        lines = [",".join(map(_float17, row)) for row in mat.P.tolist()]
-        text = "\n".join(lines) + "\n"
+        tokens = iter(_float17_tokens([mat.P]))
+        text = "".join(",".join(islice(tokens, mat.n)) + "\n" for _ in range(mat.n))
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -131,6 +131,30 @@ def _float17(x) -> str:
     exponent ("1.0", "-0.0", "1e+16", "inf.0")."""
     s = "%.17g" % x
     return s if "." in s or "e" in s else s + ".0"
+
+
+def _float17_each(xs: np.ndarray) -> list[str]:
+    """:func:`_float17` of each entry of a 1-D float64 array, in one %-call;
+    only an integer, an infinity or a NaN can print without '.' and 'e'."""
+    tokens = ("\0".join(["%.17g"] * len(xs)) % tuple(xs.tolist())).split("\0")
+    for i in np.flatnonzero((xs == np.trunc(xs)) | np.isnan(xs)).tolist():
+        if "e" not in tokens[i]:
+            tokens[i] += ".0"
+    return tokens
+
+
+def _float17_tokens(arrays) -> list[str]:
+    """The :func:`_float17` tokens of float64 arrays, row-major, one array after
+    another; each distinct bit pattern (0.0 and -0.0 apart) is formatted once."""
+    flat = arrays[0].ravel() if len(arrays) == 1 else np.concatenate(arrays, axis=None)
+    bits = flat.view(np.int64)
+    order = bits.argsort()
+    ordered = bits[order]
+    first = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    inverse = np.empty_like(order)
+    inverse[order] = first.cumsum() - 1
+    distinct = np.array(_float17_each(ordered[first].view(np.float64)), dtype=object)
+    return distinct[inverse].tolist()
 
 
 def _json_scalar(x) -> str:
@@ -166,15 +190,23 @@ class _Tokens(dict):
 
 
 def dumps_json(obj) -> str:
-    """Deterministic JSON with floats at 17 significant digits."""
+    """Deterministic JSON with floats at 17 significant digits. Each non-empty
+    2-D float64 array leaves a slot in the one walk of the document; the floats
+    of all slots are then formatted in one vectorised pass and laid out."""
     pieces: list[str] = []
-    _emit_json(obj, 0, pieces, _Tokens(_float17))
+    slots: list[tuple[int, np.ndarray, str]] = []
+    _emit_json(obj, 0, pieces, _Tokens(_float17), slots)
+    if slots:
+        tokens = iter(_float17_tokens([a for _, a, _ in slots]))
+        for idx, a, pad in slots:
+            rows = ["[" + ", ".join(islice(tokens, a.shape[1])) + "]" for _ in range(len(a))]
+            pieces[idx] = f"[\n{pad}  " + f",\n{pad}  ".join(rows) + f"\n{pad}]"
     return "".join(pieces)
 
 
 # module-level rather than a closure: a self-referencing closure is a
 # reference cycle that keeps ``pieces`` alive until the next garbage collection
-def _emit_json(x, depth: int, pieces: list[str], tokens: _Tokens) -> None:
+def _emit_json(x, depth: int, pieces: list[str], tokens: _Tokens, slots: list) -> None:
     pad = "  " * depth
     if isinstance(x, dict):
         if not x:
@@ -184,10 +216,14 @@ def _emit_json(x, depth: int, pieces: list[str], tokens: _Tokens) -> None:
         items = list(x.items())
         for idx, (k, v) in enumerate(items):
             pieces.append(pad + "  " + encode_basestring_ascii(str(k)) + ": ")
-            _emit_json(v, depth + 1, pieces, tokens)
+            _emit_json(v, depth + 1, pieces, tokens, slots)
             pieces.append(",\n" if idx < len(items) - 1 else "\n")
         pieces.append(pad + "}")
     elif isinstance(x, (list, tuple, np.ndarray)):
+        if isinstance(x, np.ndarray) and x.ndim == 2 and x.dtype == np.float64 and x.size:
+            slots.append((len(pieces), x, pad))  # dumps_json fills it in
+            pieces.append("")
+            return
         seq = list(x)
         if not seq:
             pieces.append("[]")
@@ -203,7 +239,7 @@ def _emit_json(x, depth: int, pieces: list[str], tokens: _Tokens) -> None:
             pieces.append("[\n")
             for idx, v in enumerate(seq):
                 pieces.append(pad + "  ")
-                _emit_json(v, depth + 1, pieces, tokens)
+                _emit_json(v, depth + 1, pieces, tokens, slots)
                 pieces.append(",\n" if idx < len(seq) - 1 else "\n")
             pieces.append(pad + "]")
     else:
@@ -241,7 +277,7 @@ def _emit_human(key, val, depth: int, lines: list[str], tokens: _Tokens) -> None
         for k, v in val.items():
             _emit_human(k, v, depth + 1, lines, tokens)
     elif isinstance(val, (list, tuple, np.ndarray)):
-        seq = list(val)
+        seq = val.tolist() if isinstance(val, np.ndarray) else list(val)
         if seq and isinstance(seq[0], (list, tuple, np.ndarray)):
             lines.append(f"{pad}{key}:")
             for row in seq:
@@ -316,10 +352,6 @@ def _forest_checks(fw, analysis: chain.ChainAnalysis, om, tol: Tolerances) -> di
 # ---------------------------------------------------------------------------
 # the shared analysis pipeline
 
-def _matrix_rows(a: np.ndarray) -> list[list[float]]:
-    return np.asarray(a, dtype=float).tolist()
-
-
 def _labels(mat: chain.StochasticMatrix) -> list[str]:
     if mat.state_labels:
         return list(mat.state_labels)
@@ -349,8 +381,9 @@ def analyze_report(
 ) -> dict:
     """Full analysis document for an ergodic chain; raises on input errors.
 
-    ``sim_pairs`` lists the state index pairs to simulate when ``sim_cfg``
-    is given.
+    Its matrices, ``omega.*`` and ``eigenvalues`` as (real, imag) rows, are
+    read-only float64 arrays. ``sim_pairs`` lists the state index pairs to
+    simulate when ``sim_cfg`` is given.
     """
     labels = _labels(mat)
     n = mat.n
@@ -372,13 +405,9 @@ def analyze_report(
     om_c = (
         resistance.omega_from_commute(H, erg) if erg.is_doubly_stochastic else None
     )
-    omega_section = {
-        "fundamental": _matrix_rows(om),
-        "group_inverse": _matrix_rows(om_d),
-        "hitting_time": _matrix_rows(om_h),
-    }
+    omega_section = {"fundamental": om, "group_inverse": om_d, "hitting_time": om_h}
     if om_c is not None:
-        omega_section["commute_scaled"] = _matrix_rows(om_c)
+        omega_section["commute_scaled"] = om_c
     report["omega"] = omega_section
 
     metric = resistance.metric_check(om, tol=tol)
@@ -427,7 +456,8 @@ def analyze_report(
     checks["kirchhoff_vs_kemeny"] = _check(kirch.kirchhoff, kemeny_sum, tol.bound(kemeny_sum))
     if eigentime:
         eigs = linalg.eigenvalues(P)
-        report["eigenvalues"] = [[float(v.real), float(v.imag)] for v in eigs]
+        report["eigenvalues"] = np.column_stack((eigs.real, eigs.imag))
+        report["eigenvalues"].setflags(write=False)
         try:
             et = chain.eigentime_constant(eigs, tol=tol)
         except NotErgodicError:
@@ -639,7 +669,7 @@ def cmd_forest_verify(
         "n": mat.n,
         "q_roots": [float(v) for v in fw.q_roots],
         "q_total": fw.q_total,
-        "f": _matrix_rows(fw.f),
+        "f": fw.f,
         "checks": checks,
         "pass": _all_pass(checks.values()),
     }
@@ -678,7 +708,7 @@ def cmd_counterexample(*, tol: Tolerances = DEFAULT) -> dict:
     mat = counterexample_chain()
     report = analyze_report(mat, tol=tol)
     report["command"] = "counterexample"
-    om = np.asarray(report["omega"]["fundamental"])
+    om = report["omega"]["fundamental"]
     value_tol = tol.bound(om.max())
     extra = {
         "pi_middle_state": _check(report["pi"][1], _CE_PI_MIDDLE, 1e-12),

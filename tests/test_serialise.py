@@ -1,9 +1,13 @@
 """Report serialisation against the per-scalar serialiser it replaced.
 
-``cli.dumps_json`` formats each distinct float of a document once and
-``cli.render_human`` formats a row of floats in one pass. The reference below
-formats one value per call, as the CLI did before; both must give the same
-bytes on edge values, mixed lists and whole reports.
+A report holds its matrices as read-only float64 arrays. ``cli.dumps_json``
+formats the floats of all of a document's 2-D float64 arrays in one
+vectorised pass, each distinct bit pattern once, and every other float once
+per distinct value through a per-call memo; ``cli.render_human`` formats a
+row of floats in one pass. The reference below formats one value per call,
+as the CLI did before; both must give the same bytes on edge values, mixed
+lists, arrays of every shape and layout, and whole reports. The arrays a
+report holds must be read-only.
 """
 
 import json
@@ -11,7 +15,7 @@ import json
 import numpy as np
 import pytest
 
-from mrdist import chain, cli
+from mrdist import chain, cli, simulate
 
 # ---------------------------------------------------------------------------
 # reference: one value per call
@@ -210,6 +214,79 @@ def test_each_distinct_float_formatted_once_per_call(monkeypatch):
     assert cli.dumps_json(doc) == first == ref_dumps_json(doc)
     assert len(calls) == 6
 
+    # arrays: one pass formats each distinct bit pattern of all of them once
+    passes = []
+    real_each = cli._float17_each
+    monkeypatch.setattr(cli, "_float17_each", lambda xs: passes.append(xs.copy()) or real_each(xs))
+    nan = float("nan")
+    a = np.array([[0.1, 0.2, 0.1], [0.0, -0.0, 0.0], [nan, 0.3, nan]])
+    arrays = {"a": a, "b": a.T, "c": {"d": np.array([[0.2, 0.4]])}, "list": [0.1, 0.5]}
+    first = cli.dumps_json(arrays)
+    assert first == ref_dumps_json(arrays)
+    bits = sorted({int(b) for b in np.concatenate([a.ravel(), [0.4]]).view(np.int64)})
+    assert len(passes) == 1
+    assert sorted(passes[0].view(np.int64).tolist()) == bits  # 0.0 and -0.0 apart, NaN once
+    assert sorted(calls[6:]) == [0.1, 0.5]  # the list keeps the per-value memo
+    passes.clear()
+    assert cli.dumps_json(arrays) == first
+    assert len(passes) == 1 and sorted(passes[0].view(np.int64).tolist()) == bits
+
+
+# ---------------------------------------------------------------------------
+# 2-D float64 arrays: one vectorised pass per document
+
+_EDGE = np.array(EDGE_ROW)  # 20 values: +-0.0, NaN, +-inf, 1e16, 5e-324, integral floats
+ARRAYS = {
+    "1x1": _EDGE[:1].reshape(1, 1),
+    "1x1_nan": np.full((1, 1), np.nan),
+    "1xn": _EDGE.reshape(1, -1),
+    "nx1": _EDGE.reshape(-1, 1),
+    "4x5": _EDGE.reshape(4, 5),
+    "transposed": _EDGE.reshape(4, 5).T,
+    "strided": _EDGE.reshape(4, 5)[:, ::2],
+    "reversed_rows": _EDGE.reshape(4, 5)[::-1],
+    "integral": np.arange(-6.0, 6.0).reshape(3, 4) * 1e15,
+    "near_1e17": np.array([[1e17, np.nextafter(1e17, 0), -np.nextafter(1e17, 0)]]),
+    "float32": np.array([[0.1, -0.0, 1.0], [np.nan, np.inf, 3.5]], dtype=np.float32),
+    "int": np.arange(12).reshape(3, 4),
+    "empty_rows": np.zeros((0, 3)),
+    "empty_cols": np.zeros((3, 0)),
+}
+
+
+@pytest.mark.parametrize("key", list(ARRAYS))
+def test_array_document_matches_lists_and_reference(key):
+    a = ARRAYS[key]
+    doc = {"m": a, "nested": {"rows": [a, 0.5, a.copy()]}, "after": [1.0, -0.0]}
+    as_lists = {"m": a.tolist(), "nested": {"rows": [a.tolist(), 0.5, a.tolist()]},
+                "after": [1.0, -0.0]}
+    assert cli.dumps_json(doc) == cli.dumps_json(as_lists) == ref_dumps_json(doc)
+    assert cli.dumps_json(a) == ref_dumps_json(a)
+
+
+@pytest.mark.parametrize("key", ["float32", "int", "empty_rows", "empty_cols"])
+def test_other_arrays_keep_the_generic_path(monkeypatch, key):
+    monkeypatch.setattr(cli, "_float17_each", None)  # the vectorised pass would fail
+    doc = {"m": ARRAYS[key], "f": [0.25, 1.0]}
+    assert cli.dumps_json(doc) == ref_dumps_json(doc)
+
+
+def test_vectorised_format_matches_float17_on_random_bits():
+    rng = np.random.default_rng(0)
+    bits = rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max, 20_000,
+                        dtype=np.int64, endpoint=True)
+    random = bits.view(np.float64)
+    # signalling NaNs made quiet: float arithmetic never yields one
+    bits[np.isnan(random)] |= 1 << 51
+    p10 = 10.0 ** np.arange(-30.0, 31.0)
+    integral = np.concatenate([
+        rng.integers(-10**17, 10**17, 5_000).astype(float),
+        np.ldexp(1.0, np.arange(-1074, 1024)), p10,
+        np.nextafter(p10, 0.0), np.nextafter(p10, np.inf),
+    ])
+    for xs in (random, integral, -integral, _EDGE):
+        assert cli._float17_each(xs) == [ref_float17(x) for x in xs]
+
 
 def test_human_flat_and_matrix_lists_match_reference():
     doc = {k: v for k, v in MIXED.items() if k not in ("nested", "empty_nested")}
@@ -219,13 +296,16 @@ def test_human_flat_and_matrix_lists_match_reference():
 
 
 def test_saved_chain_files_match_reference(tmp_path):
-    mat = chain.generate_random_chain(9, "ergodic", 3)
-    cli.save_chain(str(tmp_path / "c.csv"), mat)
-    cli.save_chain(str(tmp_path / "c.json"), mat)
-    csv = "".join(",".join(ref_float17(v) for v in row) + "\n" for row in mat.P)
-    assert (tmp_path / "c.csv").read_text() == csv
-    doc = {"states": [str(i + 1) for i in range(9)], "P": mat.P}
-    assert (tmp_path / "c.json").read_text() == ref_dumps_json(doc) + "\n"
+    # a birth-death chain's zeros need the ".0" rule
+    for n, kind, seed in ((9, "ergodic", 3), (9, "birth_death", 1), (64, "ergodic", 0),
+                          (64, "birth_death", 2)):
+        mat = chain.generate_random_chain(n, kind, seed)
+        cli.save_chain(str(tmp_path / "c.csv"), mat)
+        cli.save_chain(str(tmp_path / "c.json"), mat)
+        csv = "".join(",".join(ref_float17(v) for v in row) + "\n" for row in mat.P)
+        assert (tmp_path / "c.csv").read_text() == csv, (n, kind)
+        doc = {"states": [str(i + 1) for i in range(n)], "P": mat.P}
+        assert (tmp_path / "c.json").read_text() == ref_dumps_json(doc) + "\n", (n, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -291,3 +371,33 @@ def test_analyze_reports_match_reference_json(tmp_path, kind, n):
                       chain.generate_random_chain(n, kind, seed).P)
         report = cli.cmd_analyze(path)
         assert cli.dumps_json(report) == ref_dumps_json(report), seed
+
+
+def _arrays(x):
+    if isinstance(x, np.ndarray):
+        yield x
+    elif isinstance(x, dict):
+        for v in x.values():
+            yield from _arrays(v)
+    elif isinstance(x, (list, tuple)):
+        for v in x:
+            yield from _arrays(v)
+
+
+def test_report_arrays_are_read_only(tmp_path):
+    path = _write(tmp_path, "ds.json", chain.generate_random_chain(4, "doubly_stochastic", 0).P)
+    sim = simulate.SimConfig(seed=1, replicas=200, max_steps_per_replica=10_000)
+    reports = {
+        "analyze": cli.cmd_analyze(path, sim_cfg=sim, pairs_spec="1,2"),
+        "sumrule": cli.cmd_sumrule(path, 5, 1),
+        "forest-verify": cli.cmd_forest_verify(path),
+        "simulate": cli.cmd_simulate(path, "1,2", sim),
+        "counterexample": cli.cmd_counterexample(),
+    }
+    for name, report in reports.items():
+        for a in _arrays(report):
+            assert not a.flags.writeable, name
+    # the matrices are the arrays: omega's four copies and the eigenvalues; f
+    assert len(list(_arrays(reports["analyze"]))) == 5
+    assert len(list(_arrays(reports["forest-verify"]))) == 1
+    assert len(list(_arrays(reports["counterexample"]))) == 4
