@@ -229,7 +229,7 @@ def _stationary_solve(P: np.ndarray, tol: Tolerances) -> np.ndarray:
 def stationary(chain: StochasticMatrix, *, tol: Tolerances = DEFAULT) -> np.ndarray:
     """Stationary distribution of an ergodic chain via a direct linear solve."""
     chain.require_ergodic()
-    return _freeze(_stationary_solve(chain.P, tol))
+    return _stationary_solve(chain.P, tol)
 
 
 def pi_matrix(pi: np.ndarray) -> np.ndarray:
@@ -245,9 +245,7 @@ def fundamental_matrix(
     The inverse always exists for an ergodic chain, so a SingularMatrixError
     here signals an input-validation failure upstream.
     """
-    n = chain.n
-    Pi = np.tile(np.asarray(pi, dtype=float), (n, 1))
-    return _freeze(linalg.inverse(np.eye(n) - chain.P + Pi, tol=tol))
+    return linalg.inverse(np.eye(chain.n) - chain.P + pi_matrix(pi), tol=tol)
 
 
 def group_inverse(F: np.ndarray, Pi: np.ndarray) -> np.ndarray:
@@ -331,7 +329,7 @@ def analyze(chain: StochasticMatrix, *, tol: Tolerances = DEFAULT) -> ChainAnaly
     """Compute pi, Pi, F, D, H, the Kemeny constant and the ergodicity report
     of an ergodic chain."""
     chain.require_ergodic()
-    pi = _freeze(_stationary_solve(chain.P, tol))
+    pi = _stationary_solve(chain.P, tol)
     Pi = pi_matrix(pi)
     F = fundamental_matrix(chain, pi, tol=tol)
     D = group_inverse(F, Pi)

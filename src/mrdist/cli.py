@@ -4,12 +4,12 @@ Subcommands: analyze, sumrule, forest-verify, simulate, counterexample,
 generate. A chain file whose name ends in .json is JSON ({"states": [...],
 "P": [[...], ...]}, labels optional); any other name is CSV (n lines of n
 comma-separated decimals, no header), for reading and writing alike.
-A report's matrix-valued fields are read-only float64 arrays. Reports are
-printed to stdout as human tables (6 significant digits) or as JSON with
-17-significant-digit floats for reproducibility. Every identity check is an
-object with exactly the fields {lhs, rhs, abs_err, tolerance, pass}. Exit
-codes: 0 all checks pass, 1 input or usage error, 2 identity check failure.
-The MR_SEED environment variable supplies a default seed; --seed wins.
+Reports print to stdout as human tables (6 significant digits) or as JSON
+with 17-significant-digit floats; in both, one pass formats each distinct
+float of a report's matrices, which are read-only float64 arrays. Every
+identity check has exactly the fields {lhs, rhs, abs_err, tolerance, pass}.
+Exit codes: 0 all checks pass, 1 input or usage error, 2 identity check
+failure. The MR_SEED environment variable supplies a default seed; --seed wins.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import functools
 import json
 import os
 import sys
-from itertools import combinations, islice, repeat
+from itertools import combinations, islice
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -114,7 +114,7 @@ def save_chain(path: str, mat: chain.StochasticMatrix) -> None:
     if _chain_format(path) == "json":
         text = dumps_json({"states": _labels(mat), "P": mat.P}) + "\n"
     else:
-        tokens = iter(_float17_tokens([mat.P]))
+        tokens = iter(_float17_tokens([mat.P], _float17_each))
         text = "".join(",".join(islice(tokens, mat.n)) + "\n" for _ in range(mat.n))
     try:
         with open(path, "w", encoding="utf-8") as fh:
@@ -133,19 +133,28 @@ def _float17(x) -> str:
     return s if "." in s or "e" in s else s + ".0"
 
 
+def _format_each(fmt: str, xs: np.ndarray) -> list[str]:
+    """``fmt % x`` for each entry of a 1-D float64 array, in one %-call."""
+    return ("\0".join([fmt] * len(xs)) % tuple(xs.tolist())).split("\0")
+
+
 def _float17_each(xs: np.ndarray) -> list[str]:
     """:func:`_float17` of each entry of a 1-D float64 array, in one %-call;
     only an integer, an infinity or a NaN can print without '.' and 'e'."""
-    tokens = ("\0".join(["%.17g"] * len(xs)) % tuple(xs.tolist())).split("\0")
+    tokens = _format_each("%.17g", xs)
     for i in np.flatnonzero((xs == np.trunc(xs)) | np.isnan(xs)).tolist():
         if "e" not in tokens[i]:
             tokens[i] += ".0"
     return tokens
 
 
-def _float17_tokens(arrays) -> list[str]:
-    """The :func:`_float17` tokens of float64 arrays, row-major, one array after
-    another; each distinct bit pattern (0.0 and -0.0 apart) is formatted once."""
+# a human table cell: 6 significant digits, right-aligned in 12 columns
+_fmt6_each = functools.partial(_format_each, "%12.6g")
+
+
+def _float17_tokens(arrays, fmt_each) -> list[str]:
+    """``fmt_each`` of the entries of float64 arrays, row-major, one array after
+    another, in one call that formats each distinct bit pattern once (0.0 and -0.0 apart)."""
     flat = arrays[0].ravel() if len(arrays) == 1 else np.concatenate(arrays, axis=None)
     bits = flat.view(np.int64)
     order = bits.argsort()
@@ -153,51 +162,38 @@ def _float17_tokens(arrays) -> list[str]:
     first = np.concatenate(([True], ordered[1:] != ordered[:-1]))
     inverse = np.empty_like(order)
     inverse[order] = first.cumsum() - 1
-    distinct = np.array(_float17_each(ordered[first].view(np.float64)), dtype=object)
+    distinct = np.array(fmt_each(ordered[first].view(np.float64)), dtype=object)
     return distinct[inverse].tolist()
 
 
+def _is_table(x) -> bool:
+    """A non-empty 2-D float64 array: its floats take :func:`_float17_tokens`."""
+    return isinstance(x, np.ndarray) and x.ndim == 2 and x.dtype == np.float64 and x.size > 0
+
+
 def _json_scalar(x) -> str:
+    if isinstance(x, (float, np.floating)):  # most scalars of a report
+        return _float17(x)
     if x is None:
         return "null"
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return _float17(x)
     if isinstance(x, str):
         return encode_basestring_ascii(x)
     raise TypeError(f"cannot serialize {type(x).__name__}")
 
 
-class _Tokens(dict):
-    """Float -> its token under ``fmt``, filled as a document meets new values.
-
-    A report repeats most of its floats (Omega's copies, symmetric entries),
-    so one dict per rendering call formats each distinct float once.
-    """
-
-    def __init__(self, fmt) -> None:
-        super().__init__()
-        self.fmt = fmt
-
-    def __missing__(self, x) -> str:
-        token = self.fmt(x)
-        if x:  # zeros stay out: 0.0 == -0.0, but they print differently
-            self[x] = token
-        return token
-
-
 def dumps_json(obj) -> str:
-    """Deterministic JSON with floats at 17 significant digits. Each non-empty
-    2-D float64 array leaves a slot in the one walk of the document; the floats
-    of all slots are then formatted in one vectorised pass and laid out."""
+    """Deterministic JSON with floats at 17 significant digits. Each table leaves
+    a slot in the one walk of the document, and one pass formats the floats of
+    all slots; every other float is formatted where the walk meets it."""
     pieces: list[str] = []
     slots: list[tuple[int, np.ndarray, str]] = []
-    _emit_json(obj, 0, pieces, _Tokens(_float17), slots)
+    _emit_json(obj, 0, pieces, slots)
     if slots:
-        tokens = iter(_float17_tokens([a for _, a, _ in slots]))
+        tokens = iter(_float17_tokens([a for _, a, _ in slots], _float17_each))
         for idx, a, pad in slots:
             rows = ["[" + ", ".join(islice(tokens, a.shape[1])) + "]" for _ in range(len(a))]
             pieces[idx] = f"[\n{pad}  " + f",\n{pad}  ".join(rows) + f"\n{pad}]"
@@ -206,7 +202,7 @@ def dumps_json(obj) -> str:
 
 # module-level rather than a closure: a self-referencing closure is a
 # reference cycle that keeps ``pieces`` alive until the next garbage collection
-def _emit_json(x, depth: int, pieces: list[str], tokens: _Tokens, slots: list) -> None:
+def _emit_json(x, depth: int, pieces: list[str], slots: list) -> None:
     pad = "  " * depth
     if isinstance(x, dict):
         if not x:
@@ -216,21 +212,18 @@ def _emit_json(x, depth: int, pieces: list[str], tokens: _Tokens, slots: list) -
         items = list(x.items())
         for idx, (k, v) in enumerate(items):
             pieces.append(pad + "  " + encode_basestring_ascii(str(k)) + ": ")
-            _emit_json(v, depth + 1, pieces, tokens, slots)
+            _emit_json(v, depth + 1, pieces, slots)
             pieces.append(",\n" if idx < len(items) - 1 else "\n")
         pieces.append(pad + "}")
-    elif isinstance(x, (list, tuple, np.ndarray)):
-        if isinstance(x, np.ndarray) and x.ndim == 2 and x.dtype == np.float64 and x.size:
-            slots.append((len(pieces), x, pad))  # dumps_json fills it in
-            pieces.append("")
-            return
+    elif not isinstance(x, (list, tuple, np.ndarray)):
+        pieces.append(_json_scalar(x))
+    elif _is_table(x):
+        slots.append((len(pieces), x, pad))  # dumps_json fills it in
+        pieces.append("")
+    else:
         seq = list(x)
         if not seq:
             pieces.append("[]")
-            return
-        # a row of floats, such as a matrix row, takes its tokens in one pass
-        if all(map(isinstance, seq, repeat(float))):
-            pieces.append("[" + ", ".join(map(tokens.__getitem__, seq)) + "]")
             return
         nested = any(isinstance(v, (dict, list, tuple, np.ndarray)) for v in seq)
         if not nested:
@@ -239,11 +232,9 @@ def _emit_json(x, depth: int, pieces: list[str], tokens: _Tokens, slots: list) -
             pieces.append("[\n")
             for idx, v in enumerate(seq):
                 pieces.append(pad + "  ")
-                _emit_json(v, depth + 1, pieces, tokens, slots)
+                _emit_json(v, depth + 1, pieces, slots)
                 pieces.append(",\n" if idx < len(seq) - 1 else "\n")
             pieces.append(pad + "]")
-    else:
-        pieces.append(_json_scalar(x))
 
 
 _CHECK_FIELDS = ("lhs", "rhs", "abs_err", "tolerance", "pass")
@@ -254,15 +245,21 @@ def _fmt6(x) -> str:
 
 
 def render_human(report: dict) -> str:
-    """Indented key/value rendering with 6-digit tables."""
+    """Indented key/value rendering with 6-digit tables; as in :func:`dumps_json`,
+    one pass formats the floats of every table of the report."""
     lines: list[str] = []
-    tokens = _Tokens("%12.6g".__mod__)
+    slots: list[tuple[int, np.ndarray, str]] = []
     for k, v in report.items():
-        _emit_human(k, v, 0, lines, tokens)
+        _emit_human(k, v, 0, lines, slots)
+    if slots:
+        tokens = iter(_float17_tokens([a for _, a, _ in slots], _fmt6_each))
+        for idx, a, pad in slots:
+            rows = (f"\n{pad}  " + "  ".join(islice(tokens, a.shape[1])) for _ in range(len(a)))
+            lines[idx] += "".join(rows)
     return "\n".join(lines) + "\n"
 
 
-def _emit_human(key, val, depth: int, lines: list[str], tokens: _Tokens) -> None:
+def _emit_human(key, val, depth: int, lines: list[str], slots: list) -> None:
     pad = "  " * depth
     if isinstance(val, dict):
         if set(val) == set(_CHECK_FIELDS):
@@ -275,27 +272,30 @@ def _emit_human(key, val, depth: int, lines: list[str], tokens: _Tokens) -> None
             return
         lines.append(f"{pad}{key}:")
         for k, v in val.items():
-            _emit_human(k, v, depth + 1, lines, tokens)
-    elif isinstance(val, (list, tuple, np.ndarray)):
+            _emit_human(k, v, depth + 1, lines, slots)
+    elif isinstance(val, (float, np.floating)):
+        lines.append(f"{pad}{key}: {_fmt6(val)}")
+    elif not isinstance(val, (list, tuple, np.ndarray)):
+        lines.append(f"{pad}{key}: {val}")
+    elif _is_table(val):
+        slots.append((len(lines), val, pad))  # render_human appends the rows
+        lines.append(f"{pad}{key}:")
+    else:
         seq = val.tolist() if isinstance(val, np.ndarray) else list(val)
         if seq and isinstance(seq[0], (list, tuple, np.ndarray)):
             lines.append(f"{pad}{key}:")
             for row in seq:
-                lines.append(pad + "  " + "  ".join(map(tokens.__getitem__, row)))
+                lines.append(pad + "  " + "  ".join(map("%12.6g".__mod__, row)))
         elif seq and all(isinstance(v, dict) for v in seq):
             lines.append(f"{pad}{key}:")
             for idx, v in enumerate(seq):
-                _emit_human(f"[{idx}]", v, depth + 1, lines, tokens)
+                _emit_human(f"[{idx}]", v, depth + 1, lines, slots)
         else:
             rendered = [
                 _fmt6(v) if isinstance(v, (float, np.floating)) else str(v)
                 for v in seq
             ]
             lines.append(f"{pad}{key}: [" + ", ".join(rendered) + "]")
-    elif isinstance(val, (float, np.floating)):
-        lines.append(f"{pad}{key}: {_fmt6(val)}")
-    else:
-        lines.append(f"{pad}{key}: {val}")
 
 
 # ---------------------------------------------------------------------------

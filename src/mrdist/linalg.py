@@ -5,7 +5,8 @@ partial pivoting (``dgetrf``/``dgetrs``) and an explicit pivot-threshold
 singularity check, for a stack of equal-size matrices validated once and
 factored one by one (one matrix is a stack of one); matrix inverse; and the
 full complex spectrum (Hessenberg reduction plus shifted QR, as implemented
-by ``dgeev``). All functions treat their inputs as immutable.
+by ``dgeev``). All functions treat their inputs as immutable and return
+read-only arrays.
 
 ``dgetrf`` and ``dgetrs`` are taken from scipy's f2py extension module
 ``scipy.linalg._flapack``, which this module loads straight from its file
@@ -83,7 +84,7 @@ def lu_solve(a, b, *, tol: Tolerances = DEFAULT) -> np.ndarray:
     Returns
     -------
     x : ndarray
-        Solution with the same shape as ``b``.
+        Read-only solution with the same shape as ``b``.
 
     Raises
     ------
@@ -117,6 +118,7 @@ def lu_solve(a, b, *, tol: Tolerances = DEFAULT) -> np.ndarray:
         # and H @ pi takes a different BLAS path for a C-ordered H
         x = np.stack([_lu_solve_one(a_k, rhs_k, tol) for a_k, rhs_k in zip(a, rhs)])
         x = x[..., 0] if vector else x
+    x.setflags(write=False)  # so is its view x[0]
     return x[0] if single else x
 
 
@@ -153,7 +155,7 @@ def eigenvalues(a) -> np.ndarray:
 
     Returns
     -------
-    lam : (n,) complex ndarray
+    lam : (n,) complex ndarray, read-only
     """
     a = require_square(a)
     if a.shape[0] > MAX_DIM:
@@ -164,6 +166,6 @@ def eigenvalues(a) -> np.ndarray:
         raise NoConvergenceError(str(exc)) from exc
     # moduli rounded to 12 digits so ulp-level near-ties (conjugate pairs,
     # symmetric spectra) fall through to the real/imag tiebreaks
-    mod = np.round(np.abs(lam), 12)
-    order = np.lexsort((-lam.imag, -lam.real, -mod))
-    return lam[order]
+    lam = lam[np.lexsort((-lam.imag, -lam.real, -np.round(np.abs(lam), 12)))]
+    lam.setflags(write=False)
+    return lam

@@ -177,6 +177,37 @@ class TestLuSolveStack:
             linalg.lu_solve(np.stack([np.eye(2)] * 2), [[1.0, 1.0], [np.nan, 1.0]])
 
 
+class TestReadOnlyResults:
+    @pytest.mark.parametrize("a_shape,b_shape", [
+        ((3, 3), (3,)),  # one matrix, vector rhs
+        ((3, 3), (3, 2)),  # one matrix, matrix rhs
+        ((2, 3, 3), (2, 3)),  # a stack, vector rhs
+        ((2, 3, 3), (2, 3, 2)),  # a stack, matrix rhs
+        ((0, 0), (0,)),  # the empty cases copy b
+        ((0, 0), (0, 2)),
+        ((3, 0, 0), (3, 0)),
+        ((0, 2, 2), (0, 2)),
+    ])
+    def test_lu_solve(self, a_shape, b_shape):
+        a = np.broadcast_to(2.0 * np.eye(a_shape[-1]), a_shape).copy()
+        b = np.ones(b_shape)
+        x = linalg.lu_solve(a, b)
+        assert x.shape == b.shape and not x.flags.writeable
+        assert b.flags.writeable and a.flags.writeable  # the inputs are left alone
+        with pytest.raises(ValueError, match="read-only"):
+            x[...] = 0.0
+
+    def test_inverse_and_eigenvalues(self):
+        for result in (linalg.inverse(COUNTEREXAMPLE), linalg.eigenvalues(COUNTEREXAMPLE)):
+            assert not result.flags.writeable
+
+    def test_chain_results_stay_read_only(self, ce):
+        pi = chain.stationary(ce.chain)
+        analysis = chain.analyze(ce.chain)
+        for result in (pi, chain.fundamental_matrix(ce.chain, pi), analysis.pi, analysis.F):
+            assert not result.flags.writeable
+
+
 class TestInverse:
     def test_identity(self):
         assert_allclose(linalg.inverse(np.eye(4)), np.eye(4), rtol=0, atol=0)

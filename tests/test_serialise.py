@@ -1,13 +1,12 @@
 """Report serialisation against the per-scalar serialiser it replaced.
 
 A report holds its matrices as read-only float64 arrays. ``cli.dumps_json``
-formats the floats of all of a document's 2-D float64 arrays in one
-vectorised pass, each distinct bit pattern once, and every other float once
-per distinct value through a per-call memo; ``cli.render_human`` formats a
-row of floats in one pass. The reference below formats one value per call,
-as the CLI did before; both must give the same bytes on edge values, mixed
-lists, arrays of every shape and layout, and whole reports. The arrays a
-report holds must be read-only.
+and ``cli.render_human`` each format the floats of all of a document's
+non-empty 2-D float64 arrays in one vectorised pass, each distinct bit
+pattern once, and every other float where they meet it. The reference below
+formats one value per call, as the CLI did before; both must give the same
+bytes on edge values, mixed lists, arrays of every shape and layout, and
+whole reports. The arrays a report holds must be read-only.
 """
 
 import json
@@ -202,17 +201,9 @@ def test_numpy_float_equal_to_an_earlier_float_matches_reference():
 
 
 def test_each_distinct_float_formatted_once_per_call(monkeypatch):
-    calls = []
-    real = cli._float17
-    monkeypatch.setattr(cli, "_float17", lambda x: calls.append(x) or real(x))
+    # lists of floats take the per-value path
     doc = {"a": [0.1, 0.2, 0.1], "b": [[0.2, 0.1], [0.0, -0.0]], "c": [0.0, 0.3]}
-    first = cli.dumps_json(doc)
-    # zeros are formatted at each occurrence, every other value once
-    assert sorted(calls) == sorted([0.1, 0.2, 0.0, -0.0, 0.0, 0.3])
-    calls.clear()
-    # the memo does not outlive a call: the next call formats them all again
-    assert cli.dumps_json(doc) == first == ref_dumps_json(doc)
-    assert len(calls) == 6
+    assert cli.dumps_json(doc) == ref_dumps_json(doc)
 
     # arrays: one pass formats each distinct bit pattern of all of them once
     passes = []
@@ -224,12 +215,25 @@ def test_each_distinct_float_formatted_once_per_call(monkeypatch):
     first = cli.dumps_json(arrays)
     assert first == ref_dumps_json(arrays)
     bits = sorted({int(b) for b in np.concatenate([a.ravel(), [0.4]]).view(np.int64)})
+    assert len(bits) == 7  # 0.0 and -0.0 apart, NaN once
     assert len(passes) == 1
-    assert sorted(passes[0].view(np.int64).tolist()) == bits  # 0.0 and -0.0 apart, NaN once
-    assert sorted(calls[6:]) == [0.1, 0.5]  # the list keeps the per-value memo
+    assert sorted(passes[0].view(np.int64).tolist()) == bits
     passes.clear()
     assert cli.dumps_json(arrays) == first
     assert len(passes) == 1 and sorted(passes[0].view(np.int64).tolist()) == bits
+
+    # human tables: one "%12.6g" pass a call over the same bit patterns, with
+    # nothing remembered between calls
+    human = []
+    real_fmt6 = cli._fmt6_each
+    monkeypatch.setattr(cli, "_fmt6_each", lambda xs: human.append(xs.copy()) or real_fmt6(xs))
+    text = cli.render_human(arrays)
+    assert text == ref_render_human(arrays)
+    assert len(human) == 1 and sorted(human[0].view(np.int64).tolist()) == bits
+    human.clear()
+    assert cli.render_human(arrays) == text
+    assert len(human) == 1 and sorted(human[0].view(np.int64).tolist()) == bits
+    assert len(passes) == 1  # neither format calls the other's formatter
 
 
 # ---------------------------------------------------------------------------
@@ -262,13 +266,21 @@ def test_array_document_matches_lists_and_reference(key):
                 "after": [1.0, -0.0]}
     assert cli.dumps_json(doc) == cli.dumps_json(as_lists) == ref_dumps_json(doc)
     assert cli.dumps_json(a) == ref_dumps_json(a)
+    # a human report holds no list that mixes tables and scalars
+    doc = {"m": a, "nested": {"again": a.copy(), "x": 0.5}, "after": [1.0, -0.0]}
+    as_lists = {"m": a.tolist(), "nested": {"again": a.tolist(), "x": 0.5},
+                "after": [1.0, -0.0]}
+    assert cli.render_human(doc) == cli.render_human(as_lists) == ref_render_human(doc)
 
 
 @pytest.mark.parametrize("key", ["float32", "int", "empty_rows", "empty_cols"])
 def test_other_arrays_keep_the_generic_path(monkeypatch, key):
-    monkeypatch.setattr(cli, "_float17_each", None)  # the vectorised pass would fail
+    # the vectorised passes would fail
+    monkeypatch.setattr(cli, "_float17_each", None)
+    monkeypatch.setattr(cli, "_fmt6_each", None)
     doc = {"m": ARRAYS[key], "f": [0.25, 1.0]}
     assert cli.dumps_json(doc) == ref_dumps_json(doc)
+    assert cli.render_human(doc) == ref_render_human(doc)
 
 
 def test_vectorised_format_matches_float17_on_random_bits():
