@@ -4,14 +4,14 @@ Carlo hitting-time estimates."""
 
 import numpy as np
 
-from mrdist import SimConfig, analyze, estimate_omega, omega_from_fundamental, simulate_hitting
+from mrdist import SimConfig, analyze, estimate_omega, simulate_hitting
 from mrdist.cli import counterexample_chain
 
 np.set_printoptions(precision=6, suppress=True)
 
 mat = counterexample_chain()
 analysis = analyze(mat)
-om = omega_from_fundamental(analysis.F)
+om = analysis.omega
 
 cfg = SimConfig(seed=7, replicas=50_000)
 print(f"replicas per leg: {cfg.replicas}, seed {cfg.seed}")

@@ -6,8 +6,8 @@ ergodicity checking, the stationary distribution pi, the fundamental matrix
     F = (I - P + Pi)^{-1},
 
 the group inverse D = F - Pi of I - P, mean hitting times, the Kemeny
-constant, and seeded random-chain generators used as property-test input
-sources. All returned arrays are marked read-only; every function is pure.
+constant and seeded random chains; :func:`analyze` bundles them with Omega
+from F. All returned arrays are read-only; every function is pure.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
+from . import linalg, resistance
 from .errors import (
     NegativeEntryError,
     NonFiniteEntryError,
@@ -115,6 +115,8 @@ class ChainAnalysis:
         Group inverse of I - P, equal to F - Pi.
     H : (n, n) ndarray
         Mean hitting times, H[i, j] = E_i(tau_j), zero diagonal.
+    omega : (n, n) ndarray
+        Resistance matrix, from F by :func:`resistance.omega_from_fundamental`.
     t_av : float
         Kemeny constant / average hitting time.
     ergodicity : ErgodicityReport
@@ -126,6 +128,7 @@ class ChainAnalysis:
     F: np.ndarray
     D: np.ndarray
     H: np.ndarray
+    omega: np.ndarray
     t_av: float
     ergodicity: ErgodicityReport
 
@@ -326,8 +329,8 @@ def eigentime_constant(eigs: np.ndarray, *, tol: Tolerances = DEFAULT) -> float:
 
 
 def analyze(chain: StochasticMatrix, *, tol: Tolerances = DEFAULT) -> ChainAnalysis:
-    """Compute pi, Pi, F, D, H, the Kemeny constant and the ergodicity report
-    of an ergodic chain."""
+    """Compute pi, Pi, F, D, H, Omega, the Kemeny constant and the ergodicity
+    report of an ergodic chain."""
     chain.require_ergodic()
     pi = _stationary_solve(chain.P, tol)
     Pi = pi_matrix(pi)
@@ -336,7 +339,8 @@ def analyze(chain: StochasticMatrix, *, tol: Tolerances = DEFAULT) -> ChainAnaly
     H = hitting_times(F, pi)
     t_av = kemeny_constant(H, pi)
     erg = check_ergodicity(chain, tol=tol, pi=pi)
-    return ChainAnalysis(pi=pi, Pi=Pi, F=F, D=D, H=H, t_av=t_av, ergodicity=erg)
+    omega = resistance.omega_from_fundamental(F)
+    return ChainAnalysis(pi=pi, Pi=Pi, F=F, D=D, H=H, omega=omega, t_av=t_av, ergodicity=erg)
 
 
 def generate_random_chain(

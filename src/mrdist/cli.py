@@ -238,6 +238,7 @@ def _emit_json(x, depth: int, pieces: list[str], slots: list) -> None:
 
 
 _CHECK_FIELDS = ("lhs", "rhs", "abs_err", "tolerance", "pass")
+_REAL = (int, float, np.integer, np.floating, np.bool_)  # entries of a row of numbers
 
 
 def _fmt6(x) -> str:
@@ -282,11 +283,13 @@ def _emit_human(key, val, depth: int, lines: list[str], slots: list) -> None:
         lines.append(f"{pad}{key}:")
     else:
         seq = val.tolist() if isinstance(val, np.ndarray) else list(val)
-        if seq and isinstance(seq[0], (list, tuple, np.ndarray)):
+        if seq and all(isinstance(row, (list, tuple, np.ndarray)) for row in seq) and all(
+            isinstance(v, _REAL) for row in seq for v in row
+        ):
             lines.append(f"{pad}{key}:")
             for row in seq:
                 lines.append(pad + "  " + "  ".join(map("%12.6g".__mod__, row)))
-        elif seq and all(isinstance(v, dict) for v in seq):
+        elif any(isinstance(v, (dict, list, tuple, np.ndarray)) for v in seq):
             lines.append(f"{pad}{key}:")
             for idx, v in enumerate(seq):
                 _emit_human(f"[{idx}]", v, depth + 1, lines, slots)
@@ -332,20 +335,20 @@ def _all_pass(records) -> bool:
     return all(rec["pass"] for rec in records)
 
 
-def _canonical_pair_checks(pairs, analysis: chain.ChainAnalysis, om, tol: Tolerances) -> dict:
+def _canonical_pair_checks(pairs, analysis: chain.ChainAnalysis, tol: Tolerances) -> dict:
     """Identity checks of the named pairs M = diag(pi), K = pairs[name], as one stack."""
     K = np.stack(list(pairs.values()))
     M = np.broadcast_to(np.diag(analysis.pi), K.shape)
-    lhs, rhs = resistance.sum_rule(M, K, om, analysis.F, tol=tol)
+    lhs, rhs = resistance.sum_rule(M, K, analysis.omega, analysis.F, tol=tol)
     return {name: _identity_check(left, right, tol) for name, left, right in zip(pairs, lhs, rhs)}
 
 
-def _forest_checks(fw, analysis: chain.ChainAnalysis, om, tol: Tolerances) -> dict:
+def _forest_checks(fw, analysis: chain.ChainAnalysis, tol: Tolerances) -> dict:
     """pi, H and Omega from the forest weights against the F route."""
     return {
         "forest_stationary": _agreement_check(forest.stationary_from_forest(fw), analysis.pi, tol),
         "forest_hitting": _agreement_check(forest.hitting_from_forest(fw), analysis.H, tol),
-        "forest_omega": _agreement_check(forest.omega_from_forest(fw), om, tol),
+        "forest_omega": _agreement_check(forest.omega_from_forest(fw), analysis.omega, tol),
     }
 
 
@@ -362,12 +365,6 @@ def _triple_labels(triple, labels) -> list[str] | None:
     if triple is None:
         return None
     return [labels[t] for t in triple]
-
-
-def _analyzed(mat: chain.StochasticMatrix, tol: Tolerances):
-    """The analysis of an ergodic chain and its Omega from F."""
-    analysis = chain.analyze(mat, tol=tol)
-    return analysis, resistance.omega_from_fundamental(analysis.F)
 
 
 def analyze_report(
@@ -388,9 +385,9 @@ def analyze_report(
     labels = _labels(mat)
     n = mat.n
     P = mat.P
-    analysis, om = _analyzed(mat, tol)
+    analysis = chain.analyze(mat, tol=tol)
     erg = analysis.ergodicity
-    pi, F, D, H = analysis.pi, analysis.F, analysis.D, analysis.H
+    pi, F, D, H, om = analysis.pi, analysis.F, analysis.D, analysis.H, analysis.omega
     report: dict = {
         "command": "analyze",
         "n": n,
@@ -485,12 +482,12 @@ def analyze_report(
         kirch.additive, kirch.additive_upper, tol.bound(kirch.additive_upper),
         abs_err=max(0.0, kirch.additive - kirch.additive_upper),
     )
-    checks |= _canonical_pair_checks({"sum_rule_stationary_pair": analysis.Pi}, analysis, om, tol)
+    checks |= _canonical_pair_checks({"sum_rule_stationary_pair": analysis.Pi}, analysis, tol)
 
     if erg.is_reversible:
-        for m in (1, 2, 3):
-            f_lhs, f_rhs = resistance.foster_sum(mat, om, m, analysis)
-            checks[f"foster_trace_m{m}"] = _identity_check(f_lhs, f_rhs, tol)
+        f_lhs, f_rhs = resistance.foster_sum(mat, om, 3, analysis)
+        for m, (left, right) in enumerate(zip(f_lhs, f_rhs), start=1):
+            checks[f"foster_trace_m{m}"] = _identity_check(left, right, tol)
         if erg.is_doubly_stochastic:
             checks["foster_first_formula"] = _check(
                 resistance.foster_first_formula(mat, om), 2.0 * (n - 1),
@@ -516,15 +513,13 @@ def analyze_report(
             "q_roots": [float(v) for v in fw.q_roots],
             "q_total": fw.q_total,
         }
-        checks.update(_forest_checks(fw, analysis, om, tol))
+        checks.update(_forest_checks(fw, analysis, tol))
     else:
         skipped["forest"] = f"n = {n} exceeds the enumeration cap {forest_cap}"
 
     records = list(checks.values())
     if sim_cfg is not None:
-        report["simulation"] = _simulation_section(
-            mat, analysis, om, sim_cfg, sim_pairs, labels, tol
-        )
+        report["simulation"] = _simulation_section(mat, analysis, sim_cfg, sim_pairs, labels, tol)
         records += [row["check"] for row in report["simulation"]["pairs"]]
 
     if skipped:
@@ -534,7 +529,7 @@ def analyze_report(
     return report
 
 
-def _simulation_section(mat, analysis, om, cfg, pairs, labels, tol) -> dict:
+def _simulation_section(mat, analysis, cfg, pairs, labels, tol) -> dict:
     rows = []
     for i, j in pairs:
         row: dict = {"pair": [labels[i], labels[j]]}
@@ -543,12 +538,12 @@ def _simulation_section(mat, analysis, om, cfg, pairs, labels, tol) -> dict:
         except MaxStepsExceededError as exc:
             # no estimate; the check fails since Omega[i, j] >= pi[i] + pi[j] > 0
             row["error"] = str(exc)
-            row["check"] = _check(0.0, om[i, j], 0.0)
+            row["check"] = _check(0.0, analysis.omega[i, j], 0.0)
         else:
             row["estimate"] = est.mean
             row["std_error"] = est.std_error
             row["check"] = _check(
-                est.mean, float(om[i, j]), tol.sigma_band * est.std_error
+                est.mean, float(analysis.omega[i, j]), tol.sigma_band * est.std_error
             )
         rows.append(row)
     return {
@@ -593,15 +588,16 @@ def cmd_analyze(
 _PAIR_BLOCK_ENTRIES = 2**14
 
 
-def _random_pair_sides(n: int, seeds, om, F, tol: Tolerances):
-    """Both sides of the sum rule for the random pair of each seed, as (k,)
-    arrays, built and checked one block of trials at a time."""
-    lhs, rhs = np.empty(len(seeds)), np.empty(len(seeds))
+def _random_pair_sides(seeds, analysis: chain.ChainAnalysis, tol: Tolerances):
+    """Both sides of the sum rule for the random pair of each seed, as the
+    rows of a (2, k) array, built and checked one block of trials at a time."""
+    n = len(analysis.omega)
+    sides = np.empty((2, len(seeds)))
     block = max(1, _PAIR_BLOCK_ENTRIES // n**2)
     for lo in range(0, len(seeds), block):
         M, K = resistance.make_sum_rule_pair(n, seeds[lo:lo + block], tol=tol)
-        lhs[lo:lo + block], rhs[lo:lo + block] = resistance.sum_rule(M, K, om, F, tol=tol)
-    return lhs, rhs
+        sides[:, lo:lo + block] = resistance.sum_rule(M, K, analysis.omega, analysis.F, tol=tol)
+    return sides
 
 
 def cmd_sumrule(
@@ -614,7 +610,7 @@ def cmd_sumrule(
     mat = load_chain(path, tol=tol)
     if mat.n < 2:  # every pair of a one-state chain gives 0 = 0
         raise _UsageError("sum rules need n >= 2 states: a one-state chain has no pairs")
-    analysis, om = _analyzed(mat, tol)
+    analysis = chain.analyze(mat, tol=tol)
 
     pairs = {"canonical_stationary_pair": analysis.Pi}
     skipped: dict[str, str] = {}
@@ -627,9 +623,9 @@ def cmd_sumrule(
             "transition-power pairs need a reversible chain "
             "(M(K - I) would not be symmetric)"
         )
-    checks = _canonical_pair_checks(pairs, analysis, om, tol)
+    checks = _canonical_pair_checks(pairs, analysis, tol)
 
-    lhs, rhs = _random_pair_sides(mat.n, range(seed, seed + trials), om, analysis.F, tol)
+    lhs, rhs = _random_pair_sides(range(seed, seed + trials), analysis, tol)
     err = np.abs(lhs - rhs)
     scale = np.maximum(np.abs(lhs), np.abs(rhs))
     bound = np.array([tol.bound(s) for s in scale.tolist()])
@@ -660,9 +656,9 @@ def cmd_forest_verify(
     tol: Tolerances = DEFAULT,
 ) -> dict:
     mat = load_chain(path, tol=tol)
-    analysis, om = _analyzed(mat, tol)
+    analysis = chain.analyze(mat, tol=tol)
     fw = forest.enumerate_forests(mat, max_n=cap)
-    checks = _forest_checks(fw, analysis, om, tol)
+    checks = _forest_checks(fw, analysis, tol)
     return {
         "command": "forest-verify",
         "input": path,
@@ -683,10 +679,10 @@ def cmd_simulate(
     tol: Tolerances = DEFAULT,
 ) -> dict:
     mat = load_chain(path, tol=tol)
-    analysis, om = _analyzed(mat, tol)
+    analysis = chain.analyze(mat, tol=tol)
     labels = _labels(mat)
     pairs = parse_pairs(pairs_spec, labels)
-    section = _simulation_section(mat, analysis, om, cfg, pairs, labels, tol)
+    section = _simulation_section(mat, analysis, cfg, pairs, labels, tol)
     return {
         "command": "simulate",
         "input": path,

@@ -18,22 +18,27 @@ reversible chains.
 Omega is a plain read-only (n, n) array. Every constructor returns it
 through :func:`resistance_matrix`, which symmetrizes it and sets its
 diagonal to exactly 0; the functions that take Omega rely on that.
+:func:`chain.analyze` keeps the F route's Omega as ``ChainAnalysis.omega``.
 
 Sum-rule pairs come as (k, n, n) stacks M and K, pair t being
 (M[t], K[t]); one pair is a stack of one. :func:`sum_rule` returns (k,)
-arrays and :func:`make_sum_rule_pair` builds one random pair per seed.
+arrays, as :func:`foster_sum` returns (m,) arrays for P^1, ..., P^m, and
+:func:`make_sum_rule_pair` builds one random pair per seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import linalg
-from .chain import ChainAnalysis, ErgodicityReport, StochasticMatrix
 from .errors import HypothesisViolatedError, NotDoublyStochasticError, NotReversibleError
 from .tolerances import DEFAULT, Tolerances
+
+if TYPE_CHECKING:  # chain imports this module to build ChainAnalysis.omega
+    from .chain import ChainAnalysis, ErgodicityReport, StochasticMatrix
 
 @dataclass(frozen=True)
 class MetricReport:
@@ -45,7 +50,6 @@ class MetricReport:
     """
 
     nonnegative: bool
-    symmetric: bool
     triangle_holds: bool
     worst_triple: tuple[int, int, int] | None
     worst_violation: float
@@ -105,10 +109,6 @@ def omega_from_commute(H: np.ndarray, ergodicity: ErgodicityReport) -> np.ndarra
 def metric_check(omega: np.ndarray, *, tol: Tolerances = DEFAULT) -> MetricReport:
     """Scan all n^3 triples for the worst triangle violation.
 
-    ``omega`` is a plain (n, n) array; the ``symmetric`` verdict tests it
-    exactly, so it holds for any array from a constructor of this module
-    or of :mod:`forest`, which symmetrize Omega.
-
     The scan is exhaustive rather than sampled: n <= 64 keeps it cheap and
     the reported worst triple must be exact. The triangle inequality holds
     when the worst violation is within ``tol.bound(max Omega)``, the
@@ -118,10 +118,9 @@ def metric_check(omega: np.ndarray, *, tol: Tolerances = DEFAULT) -> MetricRepor
     n = len(w)
     off = ~np.eye(n, dtype=bool)
     nonnegative = bool(w.min() >= 0.0) and bool((w[off] > 0.0).all())
-    symmetric = bool(np.array_equal(w, w.T))
 
     if n < 3:
-        return MetricReport(nonnegative, symmetric, True, None, 0.0)
+        return MetricReport(nonnegative, True, None, 0.0)
 
     # violation[i, k, j] = w[i, j] - w[i, k] - w[k, j]; triples with a
     # repeated state are masked out
@@ -134,7 +133,6 @@ def metric_check(omega: np.ndarray, *, tol: Tolerances = DEFAULT) -> MetricRepor
     i, k, j = np.unravel_index(flat, viol.shape)
     return MetricReport(
         nonnegative=nonnegative,
-        symmetric=symmetric,
         triangle_holds=bool(worst <= tol.bound(w.max())),
         worst_triple=(int(i), int(k), int(j)),
         worst_violation=worst,
@@ -255,14 +253,14 @@ def foster_sum(
     omega: np.ndarray,
     m: int,
     analysis: ChainAnalysis,
-) -> tuple[float, float]:
-    """Both sides of the reversible-chain trace identity for P^m.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of the reversible-chain trace identity for P^1, ..., P^m.
 
     Returns
     -------
-    (lhs, rhs) : tuple of float
-        lhs = sum_{i,j} pi[j] (P^m)[j, i] Omega[i, j],
-        rhs = 2 Tr(diag(pi) sum_{k=0}^{m-1} (P^k - Pi)).
+    (lhs, rhs) : tuple of (m,) ndarray
+        lhs[k - 1] = sum_{i,j} pi[j] (P^k)[j, i] Omega[i, j],
+        rhs[k - 1] = 2 Tr(diag(pi) sum_{l=0}^{k-1} (P^l - Pi)).
 
     Detailed balance is the verdict ``analysis.ergodicity.is_reversible``
     already holds; the ``foster_trace_m*`` checks of a report judge how far
@@ -274,13 +272,14 @@ def foster_sum(
         raise NotReversibleError("trace identity requires detailed balance")
     P = chain.P
     pi = analysis.pi
+    lhs, rhs = np.empty(m), np.empty(m)
     partial = np.zeros_like(P)
     power = np.eye(chain.n)
-    for _ in range(m):
+    for k in range(m):
         partial = partial + power - analysis.Pi
-        power = power @ P  # P^m when the loop ends
-    lhs = float(((pi[:, None] * power).T * omega).sum())
-    rhs = float(2.0 * np.trace(pi[:, None] * partial))
+        power = power @ P  # P^(k + 1), one running product
+        lhs[k] = ((pi[:, None] * power).T * omega).sum()
+        rhs[k] = 2.0 * np.trace(pi[:, None] * partial)
     return lhs, rhs
 
 

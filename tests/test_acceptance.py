@@ -11,11 +11,6 @@ from mrdist import chain, cli, forest, linalg, resistance, simulate
 from conftest import CE_PI
 
 
-def _analyzed(mat):
-    analysis = chain.analyze(mat)
-    return analysis, resistance.omega_from_fundamental(analysis.F)
-
-
 @pytest.fixture(scope="module")
 def chain_pool():
     """Mixed pool used by the on-every-test-chain criteria (4, 5, 6, 11)."""
@@ -24,13 +19,14 @@ def chain_pool():
         for n in (2, 3, 5, 8, 12, 16):
             for seed in (0, 1):
                 pool.append(chain.generate_random_chain(n, kind, seed))
-    return [(mat, *(_analyzed(mat))) for mat in pool]
+    return [(mat, chain.analyze(mat)) for mat in pool]
 
 
 def test_criterion_01_counterexample_reproduction(criterion):
     start = time.perf_counter()
     mat = cli.counterexample_chain()
-    analysis, om = _analyzed(mat)
+    analysis = chain.analyze(mat)
+    om = analysis.omega
     metric = resistance.metric_check(om)
     elapsed = time.perf_counter() - start
 
@@ -58,7 +54,8 @@ def test_criterion_02_representation_equivalence(criterion):
     worst = 0.0
     for i in range(200):
         n = 2 + i % 15
-        analysis, om = _analyzed(chain.generate_random_chain(n, "ergodic", i))
+        analysis = chain.analyze(chain.generate_random_chain(n, "ergodic", i))
+        om = analysis.omega
         om_d = resistance.omega_from_group_inverse(analysis.D)
         om_h = resistance.omega_from_hitting(analysis.H, analysis.pi)
         worst = max(
@@ -71,7 +68,8 @@ def test_criterion_02_representation_equivalence(criterion):
         n = 2 + i % 15
         mat = chain.generate_random_chain(n, "doubly_stochastic", i)
         rep = chain.check_ergodicity(mat)
-        analysis, om = _analyzed(mat)
+        analysis = chain.analyze(mat)
+        om = analysis.omega
         om_c = resistance.omega_from_commute(analysis.H, rep)
         worst_commute = max(worst_commute, np.abs(om_c - om).max())
     elapsed = time.perf_counter() - start
@@ -89,7 +87,8 @@ def test_criterion_03_forest_oracle(criterion):
     for i in range(50):
         n = 2 + i % 5
         mat = chain.generate_random_chain(n, "ergodic", i)
-        analysis, om = _analyzed(mat)
+        analysis = chain.analyze(mat)
+        om = analysis.omega
         fw = forest.enumerate_forests(mat)
         worst_pi = max(
             worst_pi, np.abs(forest.stationary_from_forest(fw) - analysis.pi).max()
@@ -113,9 +112,9 @@ def test_criterion_03_forest_oracle(criterion):
 def test_criterion_04_kirchhoff_identity(criterion, chain_pool):
     start = time.perf_counter()
     worst_kemeny = worst_eigen = 0.0
-    for mat, analysis, om in chain_pool:
+    for mat, analysis in chain_pool:
         n = mat.n
-        total = om.sum()
+        total = analysis.omega.sum()
         worst_kemeny = max(worst_kemeny, abs(total - 2 * n * analysis.t_av))
         et = chain.eigentime_constant(linalg.eigenvalues(mat.P))
         worst_eigen = max(worst_eigen, abs(total - 2 * n * et))
@@ -132,8 +131,8 @@ def test_criterion_04_kirchhoff_identity(criterion, chain_pool):
 def test_criterion_05_multiplicative_kirchhoff(criterion, chain_pool):
     start = time.perf_counter()
     worst = 0.0
-    for mat, analysis, om in chain_pool:
-        report = resistance.kirchhoff_indices(om, analysis.pi, analysis.t_av)
+    for mat, analysis in chain_pool:
+        report = resistance.kirchhoff_indices(analysis.omega, analysis.pi, analysis.t_av)
         trace_form = 2.0 * float(
             analysis.pi @ np.diag(analysis.F) - analysis.pi @ analysis.pi
         )
@@ -149,8 +148,8 @@ def test_criterion_05_multiplicative_kirchhoff(criterion, chain_pool):
 def test_criterion_06_additive_kirchhoff_bounds(criterion, chain_pool):
     start = time.perf_counter()
     worst = 0.0
-    for mat, analysis, om in chain_pool:
-        report = resistance.kirchhoff_indices(om, analysis.pi, analysis.t_av)
+    for mat, analysis in chain_pool:
+        report = resistance.kirchhoff_indices(analysis.omega, analysis.pi, analysis.t_av)
         worst = max(
             worst,
             report.additive_lower - report.additive,
@@ -169,9 +168,9 @@ def test_criterion_07_general_sum_rule(criterion, chain_pool):
     worst_scaled = 0.0
     chains = chain_pool[:20]
     assert len(chains) == 20
-    for idx, (mat, analysis, om) in enumerate(chains):
+    for idx, (mat, analysis) in enumerate(chains):
         M, K = resistance.make_sum_rule_pair(mat.n, range(10_000 * idx, 10_000 * idx + 200))
-        lhs, rhs = resistance.sum_rule(M, K, om, analysis.F)
+        lhs, rhs = resistance.sum_rule(M, K, analysis.omega, analysis.F)
         assert lhs.shape == (200,)
         worst_scaled = max(worst_scaled, float((np.abs(lhs - rhs) / (1.0 + np.abs(lhs))).max()))
     elapsed = time.perf_counter() - start
@@ -190,17 +189,15 @@ def test_criterion_08_foster_analogue(criterion):
         n = 2 + i % 15
         base = chain.generate_random_chain(n, "doubly_stochastic", i)
         mat = chain.validate(0.5 * (base.P + base.P.T))  # reversible and doubly stochastic
-        analysis, om = _analyzed(mat)
-        value = resistance.foster_first_formula(mat, om)
+        value = resistance.foster_first_formula(mat, chain.analyze(mat).omega)
         worst_edge = max(worst_edge, abs(value - 2.0 * (n - 1)))
     worst_trace = 0.0
     for i in range(50):
         n = 2 + i % 15
         mat = chain.generate_random_chain(n, "reversible", i)
-        analysis, om = _analyzed(mat)
-        for m in (1, 2, 3):
-            lhs, rhs = resistance.foster_sum(mat, om, m, analysis)
-            worst_trace = max(worst_trace, abs(lhs - rhs))
+        analysis = chain.analyze(mat)
+        lhs, rhs = resistance.foster_sum(mat, analysis.omega, 3, analysis)  # P, P^2, P^3
+        worst_trace = max(worst_trace, np.abs(lhs - rhs).max())
     elapsed = time.perf_counter() - start
     ok = worst_edge < 1e-8 and worst_trace < 1e-8
     criterion(
@@ -216,14 +213,15 @@ def test_criterion_09_triangle_inequality_regime(criterion):
     for i in range(200):
         n = 2 + i % 15
         mat = chain.generate_random_chain(n, "doubly_stochastic", i)
-        _, om = _analyzed(mat)
+        om = chain.analyze(mat).omega
         if not resistance.metric_check(om).triangle_holds:
             violations += 1
 
     qualifying = violating = 0
     for seed in range(40):
         mat = chain.generate_random_chain(3, "birth_death", seed)
-        analysis, w = _analyzed(mat)
+        analysis = chain.analyze(mat)
+        w = analysis.omega
         pi = analysis.pi
         if pi[0] > pi[1] and pi[2] > pi[1]:
             qualifying += 1
@@ -249,7 +247,8 @@ def test_criterion_10_monte_carlo_oracle(criterion):
     worst_sigma = 0.0
     pairs_checked = 0
     for mat in chains:
-        analysis, om = _analyzed(mat)
+        analysis = chain.analyze(mat)
+        om = analysis.omega
         for i in range(mat.n):
             for j in range(i + 1, mat.n):
                 est = simulate.estimate_omega(mat, i, j, analysis.pi, cfg)
@@ -259,7 +258,7 @@ def test_criterion_10_monte_carlo_oracle(criterion):
                 )
     # determinism: the identical pair re-run is bit-for-bit equal
     mat = chains[0]
-    analysis, _ = _analyzed(mat)
+    analysis = chain.analyze(mat)
     repeat_equal = simulate.estimate_omega(
         mat, 0, 2, analysis.pi, cfg
     ) == simulate.estimate_omega(mat, 0, 2, analysis.pi, cfg)
@@ -276,7 +275,7 @@ def test_criterion_10_monte_carlo_oracle(criterion):
 def test_criterion_11_chain_invariant_suite(criterion, chain_pool):
     start = time.perf_counter()
     worst_axioms = worst_proj = worst_target = worst_frows = worst_drows = 0.0
-    for mat, analysis, _ in chain_pool:
+    for mat, analysis in chain_pool:
         n = mat.n
         ip = np.eye(n) - mat.P
         D = analysis.D

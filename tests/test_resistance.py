@@ -17,28 +17,24 @@ from mrdist.tolerances import DEFAULT
 from conftest import CE_OMEGA
 
 
-def _full(mat):
-    """Chain analysis plus the fundamental-matrix resistance."""
-    analysis = chain.analyze(mat)
-    return analysis, resistance.omega_from_fundamental(analysis.F)
-
-
 class TestConstructors:
     def test_rank_one_chain_all_twos(self):
         mat = chain.validate([[0.5, 0.5], [0.5, 0.5]])
-        analysis, om = _full(mat)
+        analysis = chain.analyze(mat)
+        om = analysis.omega
         assert_allclose(om, [[0.0, 2.0], [2.0, 0.0]], atol=1e-14)
         om_d = resistance.omega_from_group_inverse(analysis.D)
         assert_allclose(om_d, om, atol=1e-14)
 
     def test_counterexample_values(self, ce):
-        _, w = _full(ce.chain)
+        w = chain.analyze(ce.chain).omega
         assert abs(w[0, 2] - 20.0) < 1e-9
         assert abs(w[0, 1] + w[1, 2] - 140.0 / 11.0) < 1e-9
         assert_allclose(w, CE_OMEGA, rtol=0, atol=1e-9)
 
     def test_structure(self, ce):
-        analysis, om = _full(ce.chain)
+        analysis = chain.analyze(ce.chain)
+        om = analysis.omega
         assert (np.diag(om) == 0.0).all()
         assert np.array_equal(om, om.T)
         assert (om[~np.eye(3, dtype=bool)] > 0).all()
@@ -58,7 +54,10 @@ class TestConstructors:
     @pytest.mark.parametrize("kind", chain.CHAIN_KINDS)
     def test_every_route_is_read_only_symmetric_zero_diagonal(self, kind, n):
         mat = chain.generate_random_chain(n, kind, 0)
-        analysis, om = _full(mat)
+        analysis = chain.analyze(mat)
+        om = analysis.omega
+        # the analysis record holds the F route's Omega, bit for bit
+        assert om.tobytes() == resistance.omega_from_fundamental(analysis.F).tobytes()
         routes = [
             om,
             resistance.omega_from_group_inverse(analysis.D),
@@ -76,13 +75,15 @@ class TestConstructors:
     def test_group_inverse_route_agrees(self):
         for seed in range(4):
             mat = chain.generate_random_chain(7, "ergodic", seed)
-            analysis, om = _full(mat)
+            analysis = chain.analyze(mat)
+            om = analysis.omega
             om_d = resistance.omega_from_group_inverse(analysis.D)
             assert np.abs(om_d - om).max() < 1e-10
 
     @pytest.mark.parametrize("a,b", [(0.5, 0.5), (0.3, 0.2), (0.8, 0.1)])
     def test_hitting_route_closed_form(self, two_state, a, b):
-        analysis, om = _full(two_state(a, b))
+        analysis = chain.analyze(two_state(a, b))
+        om = analysis.omega
         om_h = resistance.omega_from_hitting(analysis.H, analysis.pi)
         assert abs(om_h[0, 1] - 2.0 / (a + b)) < 1e-12
         assert np.abs(om_h - om).max() < 1e-12
@@ -90,7 +91,8 @@ class TestConstructors:
     def test_commute_route_doubly_stochastic(self):
         mat = chain.generate_random_chain(6, "doubly_stochastic", 2)
         rep = chain.check_ergodicity(mat)
-        analysis, om = _full(mat)
+        analysis = chain.analyze(mat)
+        om = analysis.omega
         om_c = resistance.omega_from_commute(analysis.H, rep)
         assert np.abs(om_c - om).max() < 1e-9
 
@@ -105,21 +107,20 @@ class TestMetricCheck:
     def test_doubly_stochastic_triangle_holds(self):
         for seed in range(5):
             mat = chain.generate_random_chain(8, "doubly_stochastic", seed)
-            _, om = _full(mat)
+            om = chain.analyze(mat).omega
             report = resistance.metric_check(om)
             assert report.triangle_holds
             assert report.nonnegative
-            assert report.symmetric
 
     def test_counterexample_violation(self, ce):
-        _, om = _full(ce.chain)
+        om = chain.analyze(ce.chain).omega
         report = resistance.metric_check(om)
         assert not report.triangle_holds
         assert report.worst_triple == (0, 1, 2)
         assert abs(report.worst_violation - 80.0 / 11.0) < 1e-9
 
     def test_two_states_vacuous(self, two_state):
-        _, om = _full(two_state(0.4, 0.3))
+        om = chain.analyze(two_state(0.4, 0.3)).omega
         report = resistance.metric_check(om)
         assert report.triangle_holds
         assert report.worst_triple is None
@@ -130,9 +131,8 @@ def ref_metric_check(w, *, tol=DEFAULT):
     n = w.shape[0]
     off = ~np.eye(n, dtype=bool)
     nonnegative = bool(w.min() >= 0.0) and bool((w[off] > 0.0).all())
-    symmetric = bool(np.array_equal(w, w.T))
     if n < 3:
-        return resistance.MetricReport(nonnegative, symmetric, True, None, 0.0)
+        return resistance.MetricReport(nonnegative, True, None, 0.0)
     viol = w[:, None, :] - w[:, :, None] - w[None, :, :]
     d = np.arange(n)
     viol[d, d, :] = viol[:, d, d] = viol[d, :, d] = -np.inf
@@ -141,7 +141,6 @@ def ref_metric_check(w, *, tol=DEFAULT):
     i, k, j = np.unravel_index(flat, viol.shape)
     return resistance.MetricReport(
         nonnegative=nonnegative,
-        symmetric=symmetric,
         triangle_holds=bool(worst <= tol.bound(w.max())),
         worst_triple=(int(i), int(k), int(j)),
         worst_violation=worst,
@@ -158,7 +157,7 @@ def _scan_inputs():
 
 def test_metric_check_matches_two_temporary_scan():
     for name, mat in _scan_inputs():
-        _, om = _full(mat)
+        om = chain.analyze(mat).omega
         root = resistance.resistance_matrix(np.sqrt(om))
         for w in (om, root):
             assert resistance.metric_check(w) == ref_metric_check(w), name
@@ -202,7 +201,8 @@ STACK_SIZES = (2, 3, 4, 8, 9, 17, 33, 64)
 
 class TestSumRule:
     def test_stationary_pair_equals_multiplicative_index(self, ce):
-        analysis, om = _full(ce.chain)
+        analysis = chain.analyze(ce.chain)
+        om = analysis.omega
         lhs, rhs = one_pair_sides(np.diag(analysis.pi), analysis.Pi, om, analysis.F)
         pi = analysis.pi
         direct = sum(
@@ -214,7 +214,8 @@ class TestSumRule:
         assert abs(lhs - rhs) < 1e-8 * (1.0 + abs(lhs))
 
     def test_identity_pair_is_zero(self, ce):
-        analysis, om = _full(ce.chain)
+        analysis = chain.analyze(ce.chain)
+        om = analysis.omega
         lhs, rhs = one_pair_sides(np.diag(analysis.pi), np.eye(3), om, analysis.F)
         assert lhs == 0.0
         assert abs(rhs) < 1e-14
@@ -222,19 +223,22 @@ class TestSumRule:
     def test_random_pairs_identity(self):
         for seed in range(3):
             mat = chain.generate_random_chain(6 + seed, "ergodic", seed)
-            analysis, om = _full(mat)
+            analysis = chain.analyze(mat)
+            om = analysis.omega
             M, K = resistance.make_sum_rule_pair(mat.n, range(1000 * seed, 1000 * seed + 200))
             lhs, rhs = resistance.sum_rule(M, K, om, analysis.F)
             assert lhs.shape == rhs.shape == (200,)
             assert (np.abs(lhs - rhs) <= 1e-8 * (1.0 + np.abs(lhs))).all()
 
     def test_row_sum_hypothesis_enforced(self, ce):
-        analysis, om = _full(ce.chain)
+        analysis = chain.analyze(ce.chain)
+        om = analysis.omega
         with pytest.raises(HypothesisViolatedError, match="K row sums deviate"):
             one_pair_sides(np.diag(analysis.pi), 2.0 * np.eye(3), om, analysis.F)
 
     def test_symmetry_hypothesis_enforced(self, ce):
-        analysis, om = _full(ce.chain)
+        analysis = chain.analyze(ce.chain)
+        om = analysis.omega
         # K = P has unit row sums, but diag(1) P - diag(1) is not symmetric
         with pytest.raises(HypothesisViolatedError, match=re.escape("M(K - I) asymmetric")):
             one_pair_sides(np.eye(3), ce.chain.P, om, analysis.F)
@@ -242,7 +246,8 @@ class TestSumRule:
     @pytest.mark.parametrize("n", STACK_SIZES)
     def test_stack_matches_one_at_a_time(self, n):
         mat = chain.generate_random_chain(n, "ergodic", n)
-        analysis, om = _full(mat)
+        analysis = chain.analyze(mat)
+        om = analysis.omega
         seeds = range(100 * n, 100 * n + 12)
         M, K = resistance.make_sum_rule_pair(n, seeds)
         lhs, rhs = resistance.sum_rule(M, K, om, analysis.F)
@@ -265,7 +270,8 @@ class TestSumRule:
             mat = cli.counterexample_chain()
         else:
             mat = chain.generate_random_chain(n, kind, n)
-        analysis, om = _full(mat)
+        analysis = chain.analyze(mat)
+        om = analysis.omega
         P2 = mat.P @ mat.P
         pairs = {
             "canonical_stationary_pair": analysis.Pi,
@@ -276,7 +282,7 @@ class TestSumRule:
         K = np.stack(list(pairs.values()))
         M = np.broadcast_to(np.diag(analysis.pi), K.shape)
         lhs, rhs = resistance.sum_rule(M, K, om, analysis.F)
-        checks = cli._canonical_pair_checks(pairs, analysis, om, DEFAULT)
+        checks = cli._canonical_pair_checks(pairs, analysis, DEFAULT)
         assert list(checks) == list(pairs)
         for t, (name, K_t) in enumerate(pairs.items()):
             ref = ref_sum_rule(np.diag(analysis.pi), K_t, om, analysis.F)
@@ -293,7 +299,8 @@ class TestSumRule:
         ],
     )
     def test_only_stacks_of_n_by_n_pairs_are_accepted(self, ce, shape_m, shape_k):
-        analysis, om = _full(ce.chain)
+        analysis = chain.analyze(ce.chain)
+        om = analysis.omega
         n_m, n_k = shape_m[-1], shape_k[-1]
         M = np.broadcast_to(np.eye(n_m), shape_m)
         K = np.broadcast_to(np.full((n_k, n_k), 1.0 / n_k), shape_k)
@@ -314,7 +321,8 @@ class TestSumRule:
         ],
     )
     def test_first_failing_pair_names_the_error(self, ce, defects, message):
-        analysis, om = _full(ce.chain)
+        analysis = chain.analyze(ce.chain)
+        om = analysis.omega
         Ks = []
         for kind, size in (d or (None, 0.0) for d in defects):
             K = np.eye(3)
@@ -330,12 +338,13 @@ class TestSumRule:
             resistance.sum_rule(M, np.stack(Ks), om, analysis.F)
 
     def test_empty_stack(self, ce):
-        analysis, om = _full(ce.chain)
+        analysis = chain.analyze(ce.chain)
+        om = analysis.omega
         M, K = resistance.make_sum_rule_pair(3, [])
         assert M.shape == K.shape == (0, 3, 3)
         lhs, rhs = resistance.sum_rule(M, K, om, analysis.F)
         assert lhs.shape == rhs.shape == (0,)
-        lhs, rhs = cli._random_pair_sides(3, range(5, 5), om, analysis.F, DEFAULT)
+        lhs, rhs = cli._random_pair_sides(range(5, 5), analysis, DEFAULT)
         assert lhs.shape == rhs.shape == (0,)
 
     @pytest.mark.parametrize("block_entries", [2**14, 36, 45])
@@ -352,7 +361,8 @@ class TestSumRule:
     ):
         monkeypatch.setattr(cli, "_PAIR_BLOCK_ENTRIES", block_entries)
         mat = chain.generate_random_chain(3, "ergodic", 3)
-        analysis, om = _full(mat)
+        analysis = chain.analyze(mat)
+        om = analysis.omega
         tol = DEFAULT.override(pivot=pivot, pair_hypothesis=pair_hypothesis)
         expected = []
         try:
@@ -362,7 +372,7 @@ class TestSumRule:
         except MRDistError as exc:
             expected = (type(exc), str(exc))
         try:
-            lhs, rhs = cli._random_pair_sides(3, range(40), om, analysis.F, tol)
+            lhs, rhs = cli._random_pair_sides(range(40), analysis, tol)
         except MRDistError as exc:
             assert (type(exc), str(exc)) == expected
         else:
@@ -426,7 +436,8 @@ class TestMakeSumRulePair:
 
 class TestKirchhoffIndices:
     def test_symmetric_two_state(self, two_state):
-        analysis, om = _full(two_state(0.5, 0.5))
+        analysis = chain.analyze(two_state(0.5, 0.5))
+        om = analysis.omega
         report = resistance.kirchhoff_indices(om, analysis.pi, analysis.t_av)
         assert abs(report.kirchhoff - 4.0) < 1e-12          # 2 * n * t_av, t_av = 1
         assert abs(report.kirchhoff - 2 * 2 * analysis.t_av) < 1e-12
@@ -436,7 +447,8 @@ class TestKirchhoffIndices:
     def test_identity_against_kemeny(self):
         for seed in range(4):
             mat = chain.generate_random_chain(10, "reversible", seed)
-            analysis, om = _full(mat)
+            analysis = chain.analyze(mat)
+            om = analysis.omega
             report = resistance.kirchhoff_indices(om, analysis.pi, analysis.t_av)
             assert abs(report.kirchhoff - 2 * mat.n * analysis.t_av) < 1e-8
             trace_form = 2.0 * (analysis.pi @ np.diag(analysis.F) - analysis.pi @ analysis.pi)
@@ -445,46 +457,82 @@ class TestKirchhoffIndices:
             assert report.additive <= report.additive_upper + 1e-9
 
 
+def ref_foster_sum(mat, omega, m, analysis):
+    """Both sides, as floats, for P^m alone, its powers formed again from I."""
+    P, pi = mat.P, analysis.pi
+    partial = np.zeros_like(P)
+    power = np.eye(mat.n)
+    for _ in range(m):
+        partial = partial + power - analysis.Pi
+        power = power @ P
+    lhs = float(((pi[:, None] * power).T * omega).sum())
+    rhs = float(2.0 * np.trace(pi[:, None] * partial))
+    return lhs, rhs
+
+
 class TestFoster:
     def test_symmetric_two_state_m1(self, two_state):
         mat = two_state(0.5, 0.5)
-        analysis, om = _full(mat)
-        lhs, rhs = resistance.foster_sum(mat, om, 1, analysis)
+        analysis = chain.analyze(mat)
+        om = analysis.omega
+        (lhs,), (rhs,) = resistance.foster_sum(mat, om, 1, analysis)
         assert abs(lhs - rhs) < 1e-12
         # doubly stochastic: edge sum gives the Foster constant 2(n - 1)
         assert abs(resistance.foster_first_formula(mat, om) - 2.0) < 1e-12
         assert abs(mat.n * lhs - 2.0) < 1e-12
 
     def test_counterexample_trace_identity(self, ce):
-        analysis, om = _full(ce.chain)
-        for m in (1, 2, 3):
-            lhs, rhs = resistance.foster_sum(ce.chain, om, m, analysis)
-            assert abs(lhs - rhs) < 1e-8
+        analysis = chain.analyze(ce.chain)
+        om = analysis.omega
+        lhs, rhs = resistance.foster_sum(ce.chain, om, 3, analysis)
+        assert lhs.shape == rhs.shape == (3,)
+        assert np.abs(lhs - rhs).max() < 1e-8
 
     def test_reversible_chains(self):
         for seed in range(5):
             mat = chain.generate_random_chain(7, "reversible", seed)
-            analysis, om = _full(mat)
-            for m in (1, 2, 3):
-                lhs, rhs = resistance.foster_sum(mat, om, m, analysis)
-                assert abs(lhs - rhs) < 1e-8
+            analysis = chain.analyze(mat)
+            om = analysis.omega
+            lhs, rhs = resistance.foster_sum(mat, om, 3, analysis)
+            assert np.abs(lhs - rhs).max() < 1e-8
+
+    @pytest.mark.parametrize(
+        "kind, n",
+        [("counterexample", 3)]
+        + [(kind, n) for kind in ("reversible", "birth_death") for n in (3, 16, 64)],
+    )
+    def test_stack_matches_one_power_at_a_time(self, kind, n):
+        if kind == "counterexample":
+            mat = cli.counterexample_chain()
+        else:
+            mat = chain.generate_random_chain(n, kind, n)
+        analysis = chain.analyze(mat)
+        for m in (1, 2, 3):
+            lhs, rhs = resistance.foster_sum(mat, analysis.omega, m, analysis)
+            assert lhs.shape == rhs.shape == (m,)
+            for k in range(1, m + 1):
+                ref = ref_foster_sum(mat, analysis.omega, k, analysis)
+                assert (lhs[k - 1], rhs[k - 1]) == ref, (m, k)
 
     def test_symmetrized_doubly_stochastic_first_formula(self):
         for seed in range(5):
             base = chain.generate_random_chain(9, "doubly_stochastic", seed)
             mat = chain.validate(0.5 * (base.P + base.P.T))
-            analysis, om = _full(mat)
+            analysis = chain.analyze(mat)
+            om = analysis.omega
             value = resistance.foster_first_formula(mat, om)
             assert abs(value - 2.0 * (mat.n - 1)) < 1e-8
 
     def test_non_reversible_rejected(self):
         mat = chain.generate_random_chain(6, "ergodic", 8)
-        analysis, om = _full(mat)
+        analysis = chain.analyze(mat)
+        om = analysis.omega
         with pytest.raises(NotReversibleError):
             resistance.foster_sum(mat, om, 1, analysis)
 
     def test_bad_power_rejected(self, ce):
-        analysis, om = _full(ce.chain)
+        analysis = chain.analyze(ce.chain)
+        om = analysis.omega
         with pytest.raises(ValueError):
             resistance.foster_sum(ce.chain, om, 0, analysis)
 
@@ -496,7 +544,8 @@ class TestBirthDeathViolation:
         found = 0
         for seed in range(40):
             mat = chain.generate_random_chain(3, "birth_death", seed)
-            analysis, w = _full(mat)
+            analysis = chain.analyze(mat)
+            w = analysis.omega
             pi = analysis.pi
             if pi[0] > pi[1] and pi[2] > pi[1]:
                 found += 1

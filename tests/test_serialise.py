@@ -106,11 +106,15 @@ def _ref_emit_human(key, val, depth, lines) -> None:
             _ref_emit_human(k, v, depth + 1, lines)
     elif isinstance(val, (list, tuple, np.ndarray)):
         seq = list(val)
-        if seq and isinstance(seq[0], (list, tuple, np.ndarray)):
+        real = (int, float, np.integer, np.floating, np.bool_)
+        if seq and all(
+            isinstance(row, (list, tuple, np.ndarray)) and all(isinstance(v, real) for v in row)
+            for row in seq
+        ):
             lines.append(f"{pad}{key}:")
             for row in seq:
                 lines.append(pad + "  " + "  ".join(f"{float(v):>12.6g}" for v in row))
-        elif seq and all(isinstance(v, dict) for v in seq):
+        elif any(isinstance(v, (dict, list, tuple, np.ndarray)) for v in seq):
             lines.append(f"{pad}{key}:")
             for idx, v in enumerate(seq):
                 _ref_emit_human(f"[{idx}]", v, depth + 1, lines)
@@ -154,6 +158,8 @@ MIXED = {
     "array_empty": np.zeros(0),
     "array_float32": np.array([0.1, 1.0], dtype=np.float32),
     "strings": ["1", "2", "x"],
+    "table_then_scalar": [np.eye(2), 0.5],
+    "row_with_none": [[1.0, None]],
 }
 
 
@@ -301,10 +307,25 @@ def test_vectorised_format_matches_float17_on_random_bits():
 
 
 def test_human_flat_and_matrix_lists_match_reference():
-    doc = {k: v for k, v in MIXED.items() if k not in ("nested", "empty_nested")}
+    doc = dict(MIXED)
     doc["matrix"] = np.array([EDGE_ROW, EDGE_ROW[::-1]])
     doc["int_matrix"] = [[1, 2], [3, np.int64(4)]]
     assert cli.render_human(doc) == ref_render_human(doc)
+
+
+@pytest.mark.parametrize(
+    "doc, text",
+    [
+        ({"rows": [np.eye(2), 0.5]},
+         "rows:\n  [0]:\n               1             0\n               0             1\n"
+         "  [1]: 0.5\n"),
+        ({"rows": [[1.0, None]]}, "rows:\n  [0]: [1, None]\n"),
+    ],
+)
+def test_human_lists_that_are_not_rows_of_numbers_go_entry_by_entry(doc, text):
+    # only a list whose every entry is a row of numbers is printed as rows
+    assert cli.render_human(doc) == text
+    assert cli.dumps_json(doc) == ref_dumps_json(doc)
 
 
 def test_saved_chain_files_match_reference(tmp_path):
