@@ -171,6 +171,11 @@ def _is_table(x) -> bool:
     return isinstance(x, np.ndarray) and x.ndim == 2 and x.dtype == np.float64 and x.size > 0
 
 
+def _scalar(x):
+    """A 0-d array's scalar ``x[()]``, which it prints as; any other value as it is."""
+    return x[()] if isinstance(x, np.ndarray) and x.ndim == 0 else x
+
+
 def _json_scalar(x) -> str:
     if isinstance(x, (float, np.floating)):  # most scalars of a report
         return _float17(x)
@@ -209,22 +214,20 @@ def _emit_json(x, depth: int, pieces: list[str], slots: list) -> None:
             pieces.append("{}")
             return
         pieces.append("{\n")
-        items = list(x.items())
-        for idx, (k, v) in enumerate(items):
+        for idx, (k, v) in enumerate(x.items()):
             pieces.append(pad + "  " + encode_basestring_ascii(str(k)) + ": ")
             _emit_json(v, depth + 1, pieces, slots)
-            pieces.append(",\n" if idx < len(items) - 1 else "\n")
+            pieces.append(",\n" if idx < len(x) - 1 else "\n")
         pieces.append(pad + "}")
     elif not isinstance(x, (list, tuple, np.ndarray)):
         pieces.append(_json_scalar(x))
     elif _is_table(x):
         slots.append((len(pieces), x, pad))  # dumps_json fills it in
         pieces.append("")
+    elif isinstance(x, np.ndarray) and x.ndim == 0:
+        _emit_json(x[()], depth, pieces, slots)
     else:
-        seq = list(x)
-        if not seq:
-            pieces.append("[]")
-            return
+        seq = [_scalar(v) for v in x]
         nested = any(isinstance(v, (dict, list, tuple, np.ndarray)) for v in seq)
         if not nested:
             pieces.append("[" + ", ".join(_json_scalar(v) for v in seq) + "]")
@@ -242,7 +245,8 @@ _REAL = (int, float, np.integer, np.floating, np.bool_)  # entries of a row of n
 
 
 def _fmt6(x) -> str:
-    return format(float(x), ".6g")
+    """A float at 6 significant digits; any other scalar as ``str`` gives it."""
+    return format(float(x), ".6g") if isinstance(x, (float, np.floating)) else str(x)
 
 
 def render_human(report: dict) -> str:
@@ -274,17 +278,17 @@ def _emit_human(key, val, depth: int, lines: list[str], slots: list) -> None:
         lines.append(f"{pad}{key}:")
         for k, v in val.items():
             _emit_human(k, v, depth + 1, lines, slots)
-    elif isinstance(val, (float, np.floating)):
-        lines.append(f"{pad}{key}: {_fmt6(val)}")
     elif not isinstance(val, (list, tuple, np.ndarray)):
-        lines.append(f"{pad}{key}: {val}")
+        lines.append(f"{pad}{key}: {_fmt6(val)}")
     elif _is_table(val):
         slots.append((len(lines), val, pad))  # render_human appends the rows
         lines.append(f"{pad}{key}:")
+    elif isinstance(val, np.ndarray) and val.ndim == 0:
+        _emit_human(key, val[()], depth, lines, slots)
     else:
-        seq = val.tolist() if isinstance(val, np.ndarray) else list(val)
+        seq = val.tolist() if isinstance(val, np.ndarray) else [_scalar(v) for v in val]
         if seq and all(isinstance(row, (list, tuple, np.ndarray)) for row in seq) and all(
-            isinstance(v, _REAL) for row in seq for v in row
+            isinstance(_scalar(v), _REAL) for row in seq for v in row
         ):
             lines.append(f"{pad}{key}:")
             for row in seq:
@@ -294,11 +298,7 @@ def _emit_human(key, val, depth: int, lines: list[str], slots: list) -> None:
             for idx, v in enumerate(seq):
                 _emit_human(f"[{idx}]", v, depth + 1, lines, slots)
         else:
-            rendered = [
-                _fmt6(v) if isinstance(v, (float, np.floating)) else str(v)
-                for v in seq
-            ]
-            lines.append(f"{pad}{key}: [" + ", ".join(rendered) + "]")
+            lines.append(f"{pad}{key}: [" + ", ".join(map(_fmt6, seq)) + "]")
 
 
 # ---------------------------------------------------------------------------
@@ -316,10 +316,6 @@ def _check(lhs: float, rhs: float, tolerance: float, abs_err: float | None = Non
     }
 
 
-def _residual_check(residual: float, tolerance: float) -> dict:
-    return _check(residual, 0.0, tolerance)
-
-
 def _identity_check(lhs: float, rhs: float, tol: Tolerances) -> dict:
     """lhs = rhs, bounded at the size of the larger side."""
     return _check(lhs, rhs, tol.bound(max(abs(lhs), abs(rhs))))
@@ -327,12 +323,7 @@ def _identity_check(lhs: float, rhs: float, tol: Tolerances) -> dict:
 
 def _agreement_check(value: np.ndarray, reference: np.ndarray, tol: Tolerances) -> dict:
     """max |value - reference|, bounded at the size of the reference."""
-    return _residual_check(np.abs(value - reference).max(), tol.bound(np.abs(reference).max()))
-
-
-def _all_pass(records) -> bool:
-    """Conjunction of the given check records."""
-    return all(rec["pass"] for rec in records)
+    return _check(np.abs(value - reference).max(), 0.0, tol.bound(np.abs(reference).max()))
 
 
 def _canonical_pair_checks(pairs, analysis: chain.ChainAnalysis, tol: Tolerances) -> dict:
@@ -399,13 +390,9 @@ def analyze_report(
 
     om_d = resistance.omega_from_group_inverse(D)
     om_h = resistance.omega_from_hitting(H, pi)
-    om_c = (
-        resistance.omega_from_commute(H, erg) if erg.is_doubly_stochastic else None
-    )
-    omega_section = {"fundamental": om, "group_inverse": om_d, "hitting_time": om_h}
-    if om_c is not None:
-        omega_section["commute_scaled"] = om_c
-    report["omega"] = omega_section
+    report["omega"] = {"fundamental": om, "group_inverse": om_d, "hitting_time": om_h}
+    if erg.is_doubly_stochastic:
+        om_c = report["omega"]["commute_scaled"] = resistance.omega_from_commute(H, erg)
 
     metric = resistance.metric_check(om, tol=tol)
     report["metric"] = {
@@ -424,9 +411,9 @@ def analyze_report(
     f_tol, d_tol = tol.bound(np.abs(F).max()), tol.bound(max_d)
     checks["stationary_residual"] = _agreement_check(pi @ P, pi, tol)
     residual_f = np.abs(F @ (np.eye(n) - P + analysis.Pi) - np.eye(n)).max()
-    checks["fundamental_residual"] = _residual_check(residual_f, f_tol)
-    checks["fundamental_row_sums"] = _residual_check(np.abs(F.sum(axis=1) - 1.0).max(), f_tol)
-    checks["group_inverse_row_sums"] = _residual_check(np.abs(D.sum(axis=1)).max(), d_tol)
+    checks["fundamental_residual"] = _check(residual_f, 0.0, f_tol)
+    checks["fundamental_row_sums"] = _check(np.abs(F.sum(axis=1) - 1.0).max(), 0.0, f_tol)
+    checks["group_inverse_row_sums"] = _check(np.abs(D.sum(axis=1)).max(), 0.0, d_tol)
     ip = np.eye(n) - P
     # D(I - P)D - D is quadratic in D, so it is scaled down by max(1, max|D|)
     axioms = max(
@@ -434,21 +421,20 @@ def analyze_report(
         np.abs(D @ ip @ D - D).max() / max(1.0, max_d),
         np.abs(ip @ D - D @ ip).max(),
     )
-    checks["group_inverse_axioms"] = _residual_check(axioms, d_tol)
-    checks["stationary_projection"] = _residual_check(
-        np.abs(analysis.Pi @ F - analysis.Pi).max(), f_tol
+    checks["group_inverse_axioms"] = _check(axioms, 0.0, d_tol)
+    checks["stationary_projection"] = _check(
+        np.abs(analysis.Pi @ F - analysis.Pi).max(), 0.0, f_tol
     )
-    checks["random_target_spread"] = _residual_check(np.ptp(H @ pi), tol.bound(t_av))
-    checks["hitting_time_oracle"] = _residual_check(
-        np.abs(H - chain.hitting_times_oracle(mat, tol=tol)).max(),
-        tol.hitting_agreement,
+    checks["random_target_spread"] = _check(np.ptp(H @ pi), 0.0, tol.bound(t_av))
+    checks["hitting_time_oracle"] = _check(
+        np.abs(H - chain.hitting_times_oracle(mat, tol=tol)).max(), 0.0, tol.hitting_agreement
     )
     checks["representation_group_inverse"] = _agreement_check(om_d, om, tol)
     checks["representation_hitting_time"] = _agreement_check(om_h, om, tol)
-    if om_c is not None:
+    if erg.is_doubly_stochastic:
         checks["representation_commute_scaled"] = _agreement_check(om_c, om, tol)
-        checks["triangle_inequality"] = _residual_check(
-            max(metric.worst_violation, 0.0), tol.bound(om.max())
+        checks["triangle_inequality"] = _check(
+            max(metric.worst_violation, 0.0), 0.0, tol.bound(om.max())
         )
     checks["kirchhoff_vs_kemeny"] = _check(kirch.kirchhoff, kemeny_sum, tol.bound(kemeny_sum))
     if eigentime:
@@ -525,7 +511,7 @@ def analyze_report(
     if skipped:
         report["skipped"] = skipped
     report["checks"] = checks
-    report["pass"] = _all_pass(records)
+    report["pass"] = all(rec["pass"] for rec in records)
     return report
 
 
@@ -645,7 +631,7 @@ def cmd_sumrule(
     if skipped:
         report["skipped"] = skipped
     report["checks"] = checks
-    report["pass"] = _all_pass(checks.values())
+    report["pass"] = all(rec["pass"] for rec in checks.values())
     return report
 
 
@@ -667,7 +653,7 @@ def cmd_forest_verify(
         "q_total": fw.q_total,
         "f": fw.f,
         "checks": checks,
-        "pass": _all_pass(checks.values()),
+        "pass": all(rec["pass"] for rec in checks.values()),
     }
 
 
@@ -688,7 +674,7 @@ def cmd_simulate(
         "input": path,
         "n": mat.n,
         "simulation": section,
-        "pass": _all_pass(row["check"] for row in section["pairs"]),
+        "pass": all(row["check"]["pass"] for row in section["pairs"]),
     }
 
 
@@ -724,7 +710,7 @@ def cmd_counterexample(*, tol: Tolerances = DEFAULT) -> dict:
         "triangle_breaks": triangle_breaks,
         "worst_triple": report["metric"]["worst_triple"],
     }
-    report["pass"] = _all_pass(report["checks"].values()) and triangle_breaks
+    report["pass"] = all(rec["pass"] for rec in report["checks"].values()) and triangle_breaks
     return report
 
 

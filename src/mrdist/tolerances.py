@@ -28,7 +28,11 @@ bounded by ``tol.bound(scale) = identity_relative * max(1, |scale|)``:
 
 The eigentime checks take a spectral route, a different accuracy class:
 ``eigentime`` relative to t_av (2 n t_av for kirchhoff_vs_eigentime).
-``hitting_time_oracle`` keeps the absolute ``hitting_agreement``.
+``hitting_time_oracle`` keeps the absolute ``hitting_agreement``. The
+counterexample's ``pi_middle_state`` is bounded by an absolute 1e-12, which
+is safe because pi <= 1. A Monte Carlo check (``simulate``, ``analyze
+--simulate``) is bounded by ``sigma_band`` standard errors of its estimate,
+or by 0 when its leg hits the step cap and has no estimate.
 """
 
 from __future__ import annotations

@@ -3,6 +3,8 @@
 import importlib.util
 import json
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -61,3 +63,23 @@ def test_case_in_one_record_only_is_named(golden, tmp_path, capsys, side):
     assert code == 1
     assert f"=== lu_solve singular\n    only in {side}\n" in out
     assert out.endswith("2 identical, 1 differ\n")
+
+
+def test_diff_into_a_closed_pipe_exits_one_without_traceback(tmp_path):
+    # far more output than a pipe buffers, so diff is still printing when the
+    # reader goes away, as under `golden.py diff a.json b.json | head -3`
+    stdout = "".join(f"line {i}\n" for i in range(12))
+    before = {f"mrdist case {i}": {"code": 0, "stdout": stdout} for i in range(3000)}
+    after = {key: {"code": 2, "stdout": stdout.upper()} for key in before}
+    paths = []
+    for name, record in (("before.json", before), ("after.json", after)):
+        path = tmp_path / name
+        path.write_text(json.dumps(record))
+        paths.append(str(path))
+    proc = subprocess.Popen([sys.executable, str(GOLDEN), "diff", *paths],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"=== mrdist case 0\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in stderr and "BrokenPipeError" not in stderr

@@ -328,6 +328,28 @@ def test_human_lists_that_are_not_rows_of_numbers_go_entry_by_entry(doc, text):
     assert cli.dumps_json(doc) == ref_dumps_json(doc)
 
 
+# 0-d arrays, as a NumPy reduction may return, beside the scalars they print as
+ZERO_D = {
+    "top": ({"x": np.array(1.0)}, {"x": 1.0}),
+    "in_list": ({"x": [np.array(1.0)]}, {"x": [1.0]}),
+    "in_rows": ({"x": [[np.array(1.0), 2.0], [3.0, np.array(4)]]},
+                {"x": [[1.0, 2.0], [3.0, np.int64(4)]]}),
+    "dtypes": ({"x": [np.array(np.nan), np.array(-0.0), np.array(3), np.array(True),
+                      np.array("s"), np.array(0.1, dtype=np.float32)]},
+               {"x": [np.nan, -0.0, np.int64(3), np.True_, "s", np.float32(0.1)]}),
+    "beside_table": ({"m": np.eye(2), "d": {"y": np.array(0.5)},
+                      "x": [{"z": np.array(1e16)}, np.array(2.0)]},
+                     {"m": np.eye(2), "d": {"y": 0.5}, "x": [{"z": 1e16}, 2.0]}),
+}
+
+
+@pytest.mark.parametrize("key", list(ZERO_D))
+def test_zero_d_arrays_print_as_their_scalars(key):
+    doc, scalars = ZERO_D[key]
+    assert cli.dumps_json(doc) == cli.dumps_json(scalars) == ref_dumps_json(scalars)
+    assert cli.render_human(doc) == cli.render_human(scalars) == ref_render_human(scalars)
+
+
 def test_saved_chain_files_match_reference(tmp_path):
     # a birth-death chain's zeros need the ".0" rule
     for n, kind, seed in ((9, "ergodic", 3), (9, "birth_death", 1), (64, "ergodic", 0),

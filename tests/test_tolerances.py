@@ -111,6 +111,63 @@ def test_doubly_stochastic_bounds_follow_their_scales(capsys, tmp_path):
     )
 
 
+@pytest.fixture
+def ce_path(tmp_path):
+    path = tmp_path / "ce.csv"
+    path.write_text("0.9,0.1,0\n0.5,0,0.5\n0,0.1,0.9\n")
+    return str(path)
+
+
+def test_sumrule_bounds_follow_their_scales(capsys, ce_path):
+    # a birth-death chain is reversible, so the power pairs are checked too
+    code, rep = run_json(capsys, "sumrule", ce_path, "--trials", "20", "--seed", "3")
+    assert code == EXIT_OK
+    checks = rep["checks"]
+    assert list(checks) == ["canonical_stationary_pair", "canonical_power_pair_m1",
+                            "canonical_power_pair_m2", "canonical_power_pair_m3",
+                            "random_pairs_worst"]
+    for name, check in checks.items():
+        scale = max(abs(check["lhs"]), abs(check["rhs"]))
+        assert check["tolerance"] == DEFAULT.bound(scale), name
+
+
+def test_forest_verify_bounds_follow_their_scales(capsys, ce_path):
+    code, rep = run_json(capsys, "forest-verify", ce_path)
+    assert code == EXIT_OK
+    analysis = chain.analyze(cli.load_chain(ce_path))
+    checks = rep["checks"]
+    assert list(checks) == ["forest_stationary", "forest_hitting", "forest_omega"]
+    assert checks["forest_stationary"]["tolerance"] == DEFAULT.bound(1.0)
+    assert checks["forest_hitting"]["tolerance"] == DEFAULT.bound(analysis.H.max())
+    assert checks["forest_omega"]["tolerance"] == DEFAULT.bound(analysis.omega.max())
+
+
+@pytest.mark.parametrize("band", [DEFAULT.sigma_band, 2.0])
+def test_simulate_bounds_are_sigma_band_standard_errors(capsys, ce_path, band):
+    code, rep = run_json(capsys, "simulate", ce_path, "--replicas", "400", "--seed", "1",
+                         "--tolerance", f"sigma_band={band}")
+    omega = chain.analyze(cli.load_chain(ce_path)).omega
+    rows = rep["simulation"]["pairs"]
+    assert [row["pair"] for row in rows] == [["1", "2"], ["1", "3"], ["2", "3"]]
+    for row, (i, j) in zip(rows, [(0, 1), (0, 2), (1, 2)]):
+        check = row["check"]
+        assert check["rhs"] == omega[i, j]
+        assert check["lhs"] == row["estimate"]
+        assert check["tolerance"] == band * row["std_error"] > 0
+    assert code == (EXIT_OK if all(row["check"]["pass"] for row in rows) else EXIT_CHECK_FAILED)
+
+
+def test_simulate_leg_at_the_step_cap_fails_with_zero_bound(capsys, ce_path):
+    code, rep = run_json(capsys, "simulate", ce_path, "--pairs", "1,3", "--replicas", "100",
+                         "--max-steps", "2")
+    assert code == EXIT_CHECK_FAILED
+    (row,) = rep["simulation"]["pairs"]
+    assert "error" in row and "estimate" not in row
+    omega = chain.analyze(cli.load_chain(ce_path)).omega
+    assert row["check"] == {"lhs": 0.0, "rhs": omega[0, 2], "abs_err": omega[0, 2],
+                            "tolerance": 0.0, "pass": False}
+
+
 # Valid slow-mixing chains whose rounding is small for the size of what the
 # checks compare: each exited 2 under per-check absolute tolerances.
 

@@ -22,7 +22,8 @@ n = 16 chains and replica counts near and past the int64 range, and every
 
 ``diff`` prints the name of each case whose record differs, with the first
 differing lines, then a count of identical and differing cases. It exits 0
-when every case is identical and 1 otherwise.
+when every case is identical and 1 otherwise, also when its reader closes
+the pipe early (``diff ... | head``).
 """
 
 from __future__ import annotations
@@ -367,4 +368,12 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    try:
+        code = main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe (``diff ... | head``): stop quietly, and
+        # point stdout at devnull so the flush at exit has nowhere to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
