@@ -263,14 +263,12 @@ def group_inverse(F: np.ndarray, Pi: np.ndarray) -> np.ndarray:
 def hitting_times(F: np.ndarray, pi: np.ndarray) -> np.ndarray:
     """Mean hitting times from the fundamental matrix.
 
-    H[i, j] = (F[j, j] - F[i, j]) / pi[j]; the diagonal is exactly zero
-    analytically, so floating residue there is clamped to 0.
+    H[i, j] = (F[j, j] - F[i, j]) / pi[j]. For finite F and positive pi the
+    diagonal is +0.0 with no clamp, as F[j, j] - F[j, j] is exactly +0.0.
     """
     F = np.asarray(F, dtype=float)
     pi = np.asarray(pi, dtype=float)
-    H = (np.diag(F)[None, :] - F) / pi[None, :]
-    np.fill_diagonal(H, 0.0)
-    return _freeze(H)
+    return _freeze((np.diag(F)[None, :] - F) / pi[None, :])
 
 
 def hitting_times_oracle(chain: StochasticMatrix, *, tol: Tolerances = DEFAULT) -> np.ndarray:

@@ -410,11 +410,11 @@ def analyze_report(
     max_d = np.abs(D).max()
     f_tol, d_tol = tol.bound(np.abs(F).max()), tol.bound(max_d)
     checks["stationary_residual"] = _agreement_check(pi @ P, pi, tol)
-    residual_f = np.abs(F @ (np.eye(n) - P + analysis.Pi) - np.eye(n)).max()
+    ip = np.eye(n) - P
+    residual_f = np.abs(F @ (ip + analysis.Pi) - np.eye(n)).max()
     checks["fundamental_residual"] = _check(residual_f, 0.0, f_tol)
     checks["fundamental_row_sums"] = _check(np.abs(F.sum(axis=1) - 1.0).max(), 0.0, f_tol)
     checks["group_inverse_row_sums"] = _check(np.abs(D.sum(axis=1)).max(), 0.0, d_tol)
-    ip = np.eye(n) - P
     # D(I - P)D - D is quadratic in D, so it is scaled down by max(1, max|D|)
     axioms = max(
         np.abs(ip @ D @ ip - ip).max(),
@@ -482,9 +482,8 @@ def analyze_report(
     else:
         skipped["foster"] = "chain is not reversible (detailed balance fails)"
 
-    sqrt_metric = resistance.metric_check(
-        resistance.resistance_matrix(np.sqrt(om)), tol=tol
-    )
+    # sqrt keeps Omega's exact symmetry and zero diagonal
+    sqrt_metric = resistance.metric_check(np.sqrt(om), tol=tol)
     report["informational"] = {
         "sqrt_omega_triangle": {
             "triangle_holds": sqrt_metric.triangle_holds,

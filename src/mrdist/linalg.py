@@ -1,23 +1,23 @@
 r"""Dense real-matrix kernel for desk-scale problems (n <= 64).
 
 Contract-enforcing wrappers around LAPACK via numpy/scipy: LU solves with
-partial pivoting (``dgetrf``/``dgetrs``) and an explicit pivot-threshold
-singularity check, for a stack of equal-size matrices validated once and
-factored one by one (one matrix is a stack of one); matrix inverse; and the
-full complex spectrum (Hessenberg reduction plus shifted QR, as implemented
-by ``dgeev``). All functions treat their inputs as immutable and return
-read-only arrays.
+partial pivoting (``dgesv``, that is ``dgetrf`` then ``dgetrs``) and an
+explicit pivot-threshold singularity check, for a stack of equal-size
+matrices validated once and solved one call at a time (one matrix is a stack
+of one); matrix inverse; and the full complex spectrum (Hessenberg reduction
+plus shifted QR, as implemented by ``dgeev``). All functions treat their
+inputs as immutable and return read-only arrays.
 
-``dgetrf`` and ``dgetrs`` are taken from scipy's f2py extension module
-``scipy.linalg._flapack``, which this module loads straight from its file
-under that name. ``scipy.linalg.lapack`` re-exports the same two callables
-from the same module, so results are those of scipy's own LAPACK build. What
-the direct load skips is the ``scipy.linalg`` package ``__init__``: it pulls
-in scipy's array-API layer and, through it, ``numpy.f2py``, ``numpy.testing``
-and ``numpy.ma``, about 320 modules that cost more than half of every
-command-line start-up. Loading the extension registers it in ``sys.modules``
-under its real name, so a later ``import scipy.linalg`` gets this very
-module, and ``scipy.linalg.lapack.dgetrf`` is ``dgetrf`` here.
+``dgesv`` is taken from scipy's f2py extension module ``scipy.linalg._flapack``,
+which this module loads straight from its file under that name.
+``scipy.linalg.lapack`` re-exports the same callable from the same module, so
+results are those of scipy's own LAPACK build. What the direct load skips is
+the ``scipy.linalg`` package ``__init__``: it pulls in scipy's array-API
+layer and, through it, ``numpy.f2py``, ``numpy.testing`` and ``numpy.ma``,
+about 320 modules that cost more than half of every command-line start-up.
+Loading the extension registers it in ``sys.modules`` under its real name, so
+a later ``import scipy.linalg`` gets this very module, and
+``scipy.linalg.lapack.dgesv`` is ``dgesv`` here.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ def _load_flapack():
 
 
 _flapack = _load_flapack()
-dgetrf, dgetrs = _flapack.dgetrf, _flapack.dgetrs
+dgesv = _flapack.dgesv
 
 # eigen and random-chain routines are tuned for desk-scale matrices
 MAX_DIM = 64
@@ -114,24 +114,23 @@ def lu_solve(a, b, *, tol: Tolerances = DEFAULT) -> np.ndarray:
     if a.size == 0:  # LAPACK rejects a 0 x 0 matrix; x = b is empty too
         x = b_arr.copy()
     else:
-        # stacking keeps dgetrs's Fortran order; hitting_times inherits it from F,
+        # one dgesv per matrix, of whose factors only U's diagonal is kept
+        pivots, xs = np.empty(a.shape[:2]), []
+        for k, (a_k, rhs_k) in enumerate(zip(a, rhs)):
+            lu, _, x_k, _ = dgesv(a_k, rhs_k)
+            pivots[k] = lu.diagonal()
+            xs.append(x_k)
+        for s in np.abs(pivots).min(axis=1).tolist():  # the first failure in stack order raises
+            if s < tol.pivot or s == 0.0:  # dgesv skips the solve after a zero pivot
+                raise SingularMatrixError(
+                    f"pivot magnitude {s:.3e} below threshold {tol.pivot:.1e}"
+                )
+        # stacking keeps dgesv's Fortran order; hitting_times inherits it from F,
         # and H @ pi takes a different BLAS path for a C-ordered H
-        x = np.stack([_lu_solve_one(a_k, rhs_k, tol) for a_k, rhs_k in zip(a, rhs)])
+        x = np.stack(xs)
         x = x[..., 0] if vector else x
     x.setflags(write=False)  # so is its view x[0]
     return x[0] if single else x
-
-
-def _lu_solve_one(a: np.ndarray, rhs: np.ndarray, tol: Tolerances) -> np.ndarray:
-    # dgetrf's info > 0 marks an exactly zero pivot; the pivot check below
-    # raises on it, as on any pivot under tol.pivot
-    lu, piv, _ = dgetrf(a)
-    smallest_pivot = np.abs(np.diag(lu)).min()
-    if smallest_pivot < tol.pivot:
-        raise SingularMatrixError(
-            f"pivot magnitude {smallest_pivot:.3e} below threshold {tol.pivot:.1e}"
-        )
-    return dgetrs(lu, piv, rhs)[0]
 
 
 def inverse(a, *, tol: Tolerances = DEFAULT) -> np.ndarray:

@@ -260,7 +260,7 @@ class TestFundamentalMatrix:
         residual = f @ (np.eye(n) - ce.chain.P + np.tile(pi, (n, 1))) - np.eye(n)
         assert np.abs(residual).max() < 1e-9
 
-    def test_fortran_order_of_dgetrs_is_kept(self, ce):
+    def test_fortran_order_of_dgesv_is_kept(self, ce):
         # H inherits F's order, and H @ pi (t_av, random_target_spread) rounds
         # along another BLAS path for a C-ordered H
         pi = chain.stationary(ce.chain)
@@ -308,12 +308,15 @@ class TestGroupInverse:
 
 
 class TestHittingTimes:
-    def test_diagonal_exactly_zero(self):
-        mat = chain.generate_random_chain(7, "ergodic", 0)
-        analysis = chain.analyze(mat)
-        assert (np.diag(analysis.H) == 0.0).all()
-        off = analysis.H[~np.eye(7, dtype=bool)]
-        assert (off > 0).all()
+    def test_diagonal_exactly_zero(self, ce):
+        # F[j, j] - F[j, j] is +0.0 and pi[j] > 0, so H's diagonal is +0.0
+        # with no clamp
+        mats = [ce.chain] + [chain.generate_random_chain(n, kind, 0)
+                             for kind in chain.CHAIN_KINDS for n in (2, 7, 64)]
+        for mat in mats:
+            H = chain.analyze(mat).H
+            assert (np.diag(H) == 0.0).all() and not np.signbit(np.diag(H)).any()
+            assert (H[~np.eye(mat.n, dtype=bool)] > 0).all()
 
     @pytest.mark.parametrize("a,b", [(0.5, 0.5), (0.3, 0.1), (0.9, 0.2)])
     def test_two_state_closed_form(self, two_state, a, b):

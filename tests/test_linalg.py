@@ -91,8 +91,7 @@ class TestLuSolve:
 
 class TestLapackLoad:
     def test_same_callables_as_scipy_lapack(self):
-        assert linalg.dgetrf is scipy.linalg.lapack.dgetrf
-        assert linalg.dgetrs is scipy.linalg.lapack.dgetrs
+        assert linalg.dgesv is scipy.linalg.lapack.dgesv
 
     @staticmethod
     def _python(tmp_path, script):
@@ -141,8 +140,22 @@ class TestLuSolveStack:
             for k in range(5):
                 assert x[k].tobytes() == linalg.lu_solve(a[k], b[k]).tobytes()
 
+    @pytest.mark.parametrize("k,m,rhs_cols", [
+        (64, 63, None),  # hitting_times_oracle at n = 64: ones right-hand sides
+        (20, 3, 3),  # make_sum_rule_pair at n = 3: one block per trial
+    ])
+    def test_bit_identical_to_scipy_at_report_shapes(self, k, m, rhs_cols):
+        rng = np.random.default_rng(k * m)
+        a = rng.standard_normal((k, m, m)) + m * np.eye(m)
+        b = np.ones((k, m)) if rhs_cols is None else rng.standard_normal((k, m, rhs_cols))
+        x = linalg.lu_solve(a, b)
+        assert x.shape == b.shape
+        for a_k, b_k, x_k in zip(a, b, x):
+            ref = scipy.linalg.lu_solve(scipy.linalg.lu_factor(a_k), b_k)
+            assert x_k.tobytes() == ref.tobytes()
+
     def test_empty_systems_skip_lapack(self, capfd):
-        # LAPACK's dgetrf rejects a 0 x 0 matrix on stderr
+        # scipy's dgesv wrapper rejects a 0 x 0 matrix with a ValueError
         assert linalg.lu_solve(np.zeros((0, 0)), np.zeros(0)).shape == (0,)
         assert linalg.lu_solve(np.zeros((3, 0, 0)), np.zeros((3, 0))).shape == (3, 0)
         assert linalg.lu_solve(np.zeros((0, 2, 2)), np.zeros((0, 2))).shape == (0, 2)
@@ -152,9 +165,22 @@ class TestLuSolveStack:
         a = np.stack([np.eye(2), [[1.0, 1.0], [1.0, 1.0]], np.zeros((2, 2))])
         with pytest.raises(SingularMatrixError, match="^pivot magnitude 0.000e"):
             linalg.lu_solve(a, np.ones((3, 2)))
+        # a zero pivot first in the stack stops the solve as one later would
+        a = np.stack([np.zeros((2, 2)), np.eye(2)])
+        with pytest.raises(SingularMatrixError, match=r"^pivot magnitude 0\.000e\+00 below"):
+            linalg.lu_solve(a, np.ones((2, 2)))
         a = np.stack([3.0 * np.eye(2), np.diag([3.0, 0.5]), 0.25 * np.eye(2)])
         with pytest.raises(SingularMatrixError, match=r"^pivot magnitude 5\.000e-01 below"):
             linalg.lu_solve(a, np.ones((3, 2)), tol=DEFAULT.override(pivot=1.0))
+
+    def test_zero_pivot_fails_a_zero_threshold(self):
+        # dgesv stops before its solve at an exactly zero pivot, so no
+        # threshold may let that matrix through with b for its solution
+        tol = DEFAULT.override(pivot=0.0)
+        a = np.stack([np.eye(2), [[1.0, 1.0], [1.0, 1.0]]])
+        with pytest.raises(SingularMatrixError, match="^pivot magnitude 0.000e[+]00 below"):
+            linalg.lu_solve(a, np.ones((2, 2)), tol=tol)
+        assert linalg.lu_solve(np.diag([1.0, 2.0**-1000]), np.ones(2), tol=tol)[1] == 2.0**1000
 
     @pytest.mark.parametrize("a,b", [
         (np.ones((2, 3, 4)), np.ones((2, 3))),  # matrices not square

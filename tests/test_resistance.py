@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 from numpy.testing import assert_allclose
 
 from mrdist import chain, cli, linalg, resistance
@@ -418,7 +419,7 @@ class TestMakeSumRulePair:
         # M is strictly row diagonally dominant with margins >= 1, so no
         # pivot comes near the default threshold
         _, m = resistance._pair_inputs(n, range(2000))
-        smallest = min(np.abs(np.diag(linalg.dgetrf(m_t)[0])).min() for m_t in m)
+        smallest = min(np.abs(np.diag(scipy.linalg.lapack.dgetrf(m_t)[0])).min() for m_t in m)
         assert smallest >= 1.0
 
     def test_rejected_pivot_raises_lu_solves_error(self):

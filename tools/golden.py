@@ -17,8 +17,8 @@ of a direct ``linalg.lu_solve`` call.
 The command lines cover every subcommand in human and JSON output, input
 and usage errors, non-ergodic and one-state chains, slow-mixing chains
 whose checks fail on rounding, Monte Carlo legs on
-n = 16 chains and replica counts near and past the int64 range, and every
-``--help``.
+n = 16 chains, legs stopped by ``--max-steps``, replica counts near and past
+the int64 range, and every ``--help``.
 
 ``diff`` prints the name of each case whose record differs, with the first
 differing lines, then a count of identical and differing cases. It exits 0
@@ -207,12 +207,14 @@ def command_lines() -> list[tuple[list[str], dict]]:
          "--replicas", "400", "--seed", "5")
     both("analyze", "ce.csv", "--simulate", "--pairs", "1,3", "--replicas", "400",
          "--tolerance", "sigma_band=0")
-    both("analyze", "ce.csv", "--simulate", "--pairs", "1,3", "--replicas", "50",
+    # 97 of 100 replicas are still running at a 2-step cap
+    both("analyze", "ce.csv", "--simulate", "--pairs", "1,3", "--replicas", "100",
          "--max-steps", "2")
     add("analyze", "ce.csv", "--simulate", "--pairs", "1,3", "--replicas", "400",
         "--format", "json", env={"MR_SEED": "12"})
     both("simulate", "labels.json", "--pairs", "sun,fog", "--replicas", "400")
-    both("simulate", "ce.csv", "--pairs", "1,3", "--replicas", "50", "--max-steps", "2")
+    both("simulate", "ce.csv", "--pairs", "1,3", "--replicas", "100", "--max-steps", "2")
+    both("simulate", "ce.csv", "--pairs", "1,3", "--replicas", "99")
     add("simulate", "ce.csv", "--pairs", "all", "--replicas", "400", "--format", "json",
         env={"MR_SEED": "12"})
     add("sumrule", "ce.csv", "--trials", "0", "--format", "json")
@@ -257,6 +259,7 @@ def lu_solve_cases():
         ("empty stack", np.zeros((0, 2, 2)), np.zeros((0, 2))),
         ("singular", np.ones((2, 2)), np.ones(2)),
         ("singular in stack", np.stack([np.eye(2), np.ones((2, 2))]), np.ones((2, 2))),
+        ("zero pivot first", np.stack([np.zeros((2, 2)), np.eye(2)]), np.ones((2, 2))),
         ("scalar a", np.float64(2.0), np.ones(1)),
         ("1-D a of one", np.ones(1), np.ones(1)),
         ("1-D a of three", np.ones(3), np.ones(3)),
