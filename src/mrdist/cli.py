@@ -156,13 +156,8 @@ def _float17_tokens(arrays, fmt_each) -> list[str]:
     """``fmt_each`` of the entries of float64 arrays, row-major, one array after
     another, in one call that formats each distinct bit pattern once (0.0 and -0.0 apart)."""
     flat = arrays[0].ravel() if len(arrays) == 1 else np.concatenate(arrays, axis=None)
-    bits = flat.view(np.int64)
-    order = bits.argsort()
-    ordered = bits[order]
-    first = np.concatenate(([True], ordered[1:] != ordered[:-1]))
-    inverse = np.empty_like(order)
-    inverse[order] = first.cumsum() - 1
-    distinct = np.array(fmt_each(ordered[first].view(np.float64)), dtype=object)
+    bits, inverse = np.unique(flat.view(np.int64), return_inverse=True)
+    distinct = np.array(fmt_each(bits.view(np.float64)), dtype=object)
     return distinct[inverse].tolist()
 
 
@@ -540,28 +535,22 @@ def _simulation_section(mat, analysis, cfg, pairs, labels, tol) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each handler reads its subparser's arguments and returns the
+# report; Monte Carlo settings, seeds and --trials are read before the chain file
 
-def cmd_analyze(
-    path: str,
-    *,
-    tol: Tolerances = DEFAULT,
-    eigentime: bool = True,
-    forest_cap: int = forest.DEFAULT_MAX_STATES,
-    sim_cfg: simulate.SimConfig | None = None,
-    pairs_spec: str = "all",
-) -> dict:
-    mat = load_chain(path, tol=tol)
-    sim_pairs = None if sim_cfg is None else parse_pairs(pairs_spec, _labels(mat))
+def _analyze(args, tol: Tolerances) -> dict:
+    sim_cfg = _sim_config(args) if args.simulate else None
+    mat = load_chain(args.input, tol=tol)
+    sim_pairs = None if sim_cfg is None else parse_pairs(args.pairs, _labels(mat))
     report = analyze_report(
         mat,
         tol=tol,
-        eigentime=eigentime,
-        forest_cap=forest_cap,
+        eigentime=args.eigentime == "on",
+        forest_cap=args.forest_cap,
         sim_cfg=sim_cfg,
         sim_pairs=sim_pairs,
     )
-    report["input"] = path
+    report["input"] = args.input
     return report
 
 
@@ -585,14 +574,12 @@ def _random_pair_sides(seeds, analysis: chain.ChainAnalysis, tol: Tolerances):
     return sides
 
 
-def cmd_sumrule(
-    path: str,
-    trials: int,
-    seed: int,
-    *,
-    tol: Tolerances = DEFAULT,
-) -> dict:
-    mat = load_chain(path, tol=tol)
+def _sumrule(args, tol: Tolerances) -> dict:
+    trials = args.trials
+    if trials < 0:
+        raise _UsageError(f"--trials must be non-negative, got {trials}")
+    seed = _resolve_seed(args)
+    mat = load_chain(args.input, tol=tol)
     if mat.n < 2:  # every pair of a one-state chain gives 0 = 0
         raise _UsageError("sum rules need n >= 2 states: a one-state chain has no pairs")
     analysis = chain.analyze(mat, tol=tol)
@@ -622,7 +609,7 @@ def cmd_sumrule(
 
     report = {
         "command": "sumrule",
-        "input": path,
+        "input": args.input,
         "n": mat.n,
         "seed": seed,
         "random_pairs": random_section,
@@ -634,19 +621,14 @@ def cmd_sumrule(
     return report
 
 
-def cmd_forest_verify(
-    path: str,
-    cap: int = forest.DEFAULT_MAX_STATES,
-    *,
-    tol: Tolerances = DEFAULT,
-) -> dict:
-    mat = load_chain(path, tol=tol)
+def _forest_verify(args, tol: Tolerances) -> dict:
+    mat = load_chain(args.input, tol=tol)
     analysis = chain.analyze(mat, tol=tol)
-    fw = forest.enumerate_forests(mat, max_n=cap)
+    fw = forest.enumerate_forests(mat, max_n=args.cap)
     checks = _forest_checks(fw, analysis, tol)
     return {
         "command": "forest-verify",
-        "input": path,
+        "input": args.input,
         "n": mat.n,
         "q_roots": [float(v) for v in fw.q_roots],
         "q_total": fw.q_total,
@@ -656,21 +638,16 @@ def cmd_forest_verify(
     }
 
 
-def cmd_simulate(
-    path: str,
-    pairs_spec: str,
-    cfg: simulate.SimConfig,
-    *,
-    tol: Tolerances = DEFAULT,
-) -> dict:
-    mat = load_chain(path, tol=tol)
+def _simulate(args, tol: Tolerances) -> dict:
+    cfg = _sim_config(args)
+    mat = load_chain(args.input, tol=tol)
     analysis = chain.analyze(mat, tol=tol)
     labels = _labels(mat)
-    pairs = parse_pairs(pairs_spec, labels)
+    pairs = parse_pairs(args.pairs, labels)
     section = _simulation_section(mat, analysis, cfg, pairs, labels, tol)
     return {
         "command": "simulate",
-        "input": path,
+        "input": args.input,
         "n": mat.n,
         "simulation": section,
         "pass": all(row["check"]["pass"] for row in section["pairs"]),
@@ -685,7 +662,7 @@ _CE_OMEGA_ENDPOINTS = 20.0
 _CE_OMEGA_VIA_MIDDLE = 140.0 / 11.0
 
 
-def cmd_counterexample(*, tol: Tolerances = DEFAULT) -> dict:
+def _counterexample(args, tol: Tolerances) -> dict:
     mat = counterexample_chain()
     report = analyze_report(mat, tol=tol)
     report["command"] = "counterexample"
@@ -713,22 +690,16 @@ def cmd_counterexample(*, tol: Tolerances = DEFAULT) -> dict:
     return report
 
 
-def cmd_generate(
-    n: int,
-    kind: str,
-    seed: int,
-    out_path: str,
-    *,
-    tol: Tolerances = DEFAULT,
-) -> dict:
-    save_chain(out_path, chain.generate_random_chain(n, kind, seed, tol=tol))
+def _generate(args, tol: Tolerances) -> dict:
+    seed = _resolve_seed(args)
+    save_chain(args.output, chain.generate_random_chain(args.n, args.kind, seed, tol=tol))
     return {
         "command": "generate",
-        "output": out_path,
-        "n": n,
-        "kind": kind,
+        "output": args.output,
+        "n": args.n,
+        "kind": args.kind,
         "seed": seed,
-        "format": _chain_format(out_path),
+        "format": _chain_format(args.output),
         "pass": True,
     }
 
@@ -798,7 +769,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"mrdist {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, run):
+        p.set_defaults(run=run)  # main calls run(args, tol) for the report
         p.add_argument(
             "--format", choices=("human", "json"), default="human",
             help="report format (default human)",
@@ -811,9 +783,10 @@ def build_parser() -> argparse.ArgumentParser:
     def simulation(p):
         p.add_argument("--pairs", default="all",
                        help='"all" or semicolon list like "1,3;2,3"')
-        p.add_argument("--replicas", type=int, default=100_000)
-        p.add_argument("--max-steps", type=int, default=10_000_000)
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--replicas", type=int, default=simulate.SimConfig.replicas)
+        p.add_argument("--max-steps", type=int,
+                       default=simulate.SimConfig.max_steps_per_replica)
+        p.add_argument("--seed", type=int)
 
     p = sub.add_parser("analyze", help="full analysis and identity verification")
     p.add_argument("input")
@@ -822,34 +795,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--simulate", action="store_true",
                    help="add Monte Carlo cross-checks")
     simulation(p)
-    common(p)
+    common(p, _analyze)
 
     p = sub.add_parser("sumrule", help="random and canonical sum-rule pairs")
     p.add_argument("input")
     p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--seed", type=int, default=None)
-    common(p)
+    p.add_argument("--seed", type=int)
+    common(p, _sumrule)
 
     p = sub.add_parser("forest-verify", help="check against exact in-forest weights")
     p.add_argument("input")
     p.add_argument("--cap", type=int, default=forest.DEFAULT_MAX_STATES)
-    common(p)
+    common(p, _forest_verify)
 
     p = sub.add_parser("simulate", help="Monte Carlo resistance estimates")
     p.add_argument("input")
     simulation(p)
-    common(p)
+    common(p, _simulate)
 
     p = sub.add_parser("counterexample",
                        help="built-in triangle-inequality counterexample")
-    common(p)
+    common(p, _counterexample)
 
     p = sub.add_parser("generate", help="write a random chain file")
     p.add_argument("n", type=int)
     p.add_argument("kind", choices=chain.CHAIN_KINDS)
     p.add_argument("output")
-    p.add_argument("--seed", type=int, default=None)
-    common(p)
+    p.add_argument("--seed", type=int)
+    common(p, _generate)
 
     return parser
 
@@ -859,9 +832,8 @@ _parser = functools.cache(build_parser)
 
 
 def _resolve_seed(args) -> int:
-    seed = getattr(args, "seed", None)
-    if seed is not None:
-        return seed
+    if args.seed is not None:
+        return args.seed
     env = os.environ.get("MR_SEED")
     if env is not None:
         try:
@@ -883,30 +855,7 @@ def main(argv=None) -> int:
     args = None
     try:
         args = _parser().parse_args(argv)
-        tol = _parse_tolerance_overrides(getattr(args, "tolerance", None))
-        if args.command == "analyze":
-            report = cmd_analyze(
-                args.input,
-                tol=tol,
-                eigentime=args.eigentime == "on",
-                forest_cap=args.forest_cap,
-                sim_cfg=_sim_config(args) if args.simulate else None,
-                pairs_spec=args.pairs,
-            )
-        elif args.command == "sumrule":
-            if args.trials < 0:
-                raise _UsageError(f"--trials must be non-negative, got {args.trials}")
-            report = cmd_sumrule(args.input, args.trials, _resolve_seed(args), tol=tol)
-        elif args.command == "forest-verify":
-            report = cmd_forest_verify(args.input, args.cap, tol=tol)
-        elif args.command == "simulate":
-            report = cmd_simulate(args.input, args.pairs, _sim_config(args), tol=tol)
-        elif args.command == "counterexample":
-            report = cmd_counterexample(tol=tol)
-        else:  # generate
-            report = cmd_generate(
-                args.n, args.kind, _resolve_seed(args), args.output, tol=tol
-            )
+        report = args.run(args, _parse_tolerance_overrides(args.tolerance))
     except _UsageError as exc:
         print(f"mrdist: error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

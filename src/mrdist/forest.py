@@ -38,7 +38,6 @@ import numpy as np
 
 from .chain import StochasticMatrix
 from .errors import TooLargeError
-from .resistance import resistance_matrix
 
 DEFAULT_MAX_STATES = 8
 
@@ -134,13 +133,15 @@ def stationary_from_forest(fw: ForestWeights) -> np.ndarray:
 
 
 def hitting_from_forest(fw: ForestWeights) -> np.ndarray:
-    """E_i(tau_j) = f[i, j] / q_roots[j], zero diagonal."""
+    """E_i(tau_j) = f[i, j] / q_roots[j]; f's diagonal is an exact 0, so H's is +0.0."""
     H = fw.f / fw.q_roots[None, :]
-    np.fill_diagonal(H, 0.0)
     H.setflags(write=False)
     return H
 
 
 def omega_from_forest(fw: ForestWeights) -> np.ndarray:
-    """Omega[i, j] = (f[i, j] + f[j, i]) / q_total."""
-    return resistance_matrix((fw.f + fw.f.T) / fw.q_total)
+    """Omega[i, j] = (f[i, j] + f[j, i]) / q_total, exactly symmetric with a
+    +0.0 diagonal, since f's diagonal is an exact 0."""
+    w = (fw.f + fw.f.T) / fw.q_total
+    w.setflags(write=False)
+    return w

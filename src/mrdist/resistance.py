@@ -15,9 +15,11 @@ for any (M, K) with K 1 = 1 and M(K - I) symmetric, the Kirchhoff index
 family it implies, and the trace-form analogue of Foster's first formula for
 reversible chains.
 
-Omega is a plain read-only (n, n) array. Every constructor returns it
-through :func:`resistance_matrix`, which symmetrizes it and sets its
-diagonal to exactly 0; the functions that take Omega rely on that.
+Omega is a plain read-only (n, n) array, exactly symmetric with a +0.0
+diagonal; the functions that take Omega rely on that. The F and group-inverse
+routes pass through :func:`resistance_matrix`, which makes it so. The hitting
+and commute routes add a matrix to its transpose, which is exactly symmetric,
+and keep H's +0.0 diagonal, so they only freeze the sum.
 :func:`chain.analyze` keeps the F route's Omega as ``ChainAnalysis.omega``.
 
 Sum-rule pairs come as (k, n, n) stacks M and K, pair t being
@@ -89,21 +91,27 @@ def omega_from_group_inverse(D: np.ndarray) -> np.ndarray:
 
 
 def omega_from_hitting(H: np.ndarray, pi: np.ndarray) -> np.ndarray:
-    """Omega[i, j] = pi[j] H[i, j] + pi[i] H[j, i]."""
+    """Omega[i, j] = pi[j] H[i, j] + pi[i] H[j, i]; H's diagonal must be +0.0
+    and pi positive, for Omega's diagonal to be +0.0."""
     H = np.asarray(H, dtype=float)
     pi = np.asarray(pi, dtype=float)
     weighted = H * pi[None, :]
-    return resistance_matrix(weighted + weighted.T)
+    w = weighted + weighted.T
+    w.setflags(write=False)
+    return w
 
 
 def omega_from_commute(H: np.ndarray, ergodicity: ErgodicityReport) -> np.ndarray:
-    """Scaled commute time (H[i, j] + H[j, i]) / n, doubly stochastic only."""
+    """Scaled commute time (H[i, j] + H[j, i]) / n, doubly stochastic only;
+    H's diagonal must be +0.0, for Omega's diagonal to be +0.0."""
     if not ergodicity.is_doubly_stochastic:
         raise NotDoublyStochasticError(
             "commute-time construction requires a doubly stochastic chain"
         )
     H = np.asarray(H, dtype=float)
-    return resistance_matrix((H + H.T) / H.shape[0])
+    w = (H + H.T) / H.shape[0]
+    w.setflags(write=False)
+    return w
 
 
 def metric_check(omega: np.ndarray, *, tol: Tolerances = DEFAULT) -> MetricReport:

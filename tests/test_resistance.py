@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg.lapack
 from numpy.testing import assert_allclose
 
-from mrdist import chain, cli, linalg, resistance
+from mrdist import chain, cli, forest, linalg, resistance
 from mrdist.errors import (
     HypothesisViolatedError,
     MRDistError,
@@ -63,15 +63,17 @@ class TestConstructors:
             om,
             resistance.omega_from_group_inverse(analysis.D),
             resistance.omega_from_hitting(analysis.H, analysis.pi),
+            forest.omega_from_forest(forest.enumerate_forests(mat, max_n=n)),
         ]
         if analysis.ergodicity.is_doubly_stochastic:
             routes.append(resistance.omega_from_commute(analysis.H, analysis.ergodicity))
-        assert len(routes) == (4 if kind == "doubly_stochastic" else 3)
+        assert len(routes) == (5 if kind == "doubly_stochastic" else 4)
         for w in routes:
             assert type(w) is np.ndarray and w.shape == (n, n)
             assert not w.flags.writeable
             assert np.array_equal(w, w.T)
             assert (np.diag(w) == 0.0).all()
+            assert not np.signbit(np.diag(w)).any()
 
     def test_group_inverse_route_agrees(self):
         for seed in range(4):

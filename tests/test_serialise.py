@@ -14,7 +14,8 @@ import json
 import numpy as np
 import pytest
 
-from mrdist import chain, cli, simulate
+from mrdist import chain, cli
+from mrdist.tolerances import DEFAULT
 
 # ---------------------------------------------------------------------------
 # reference: one value per call
@@ -383,21 +384,27 @@ def _write(tmp_path, name, P) -> str:
     return path
 
 
+def _report(*argv) -> dict:
+    """The report of a command line, built as ``cli.main`` builds it."""
+    args = cli.build_parser().parse_args(argv)
+    return args.run(args, DEFAULT)
+
+
 @pytest.fixture(scope="module")
 def reports(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("reports")
-    out = {"counterexample": cli.cmd_counterexample()}
+    out = {"counterexample": _report("counterexample")}
     for n in (3, 16, 64):
         for kind in chain.CHAIN_KINDS:
             path = _write(tmp_path, f"{kind}_{n}.json",
                           chain.generate_random_chain(n, kind, n).P)
-            out[f"analyze {kind} {n}"] = cli.cmd_analyze(path)
+            out[f"analyze {kind} {n}"] = _report("analyze", path)
         path = _write(tmp_path, f"cycle_{n}.csv", _dyadic_cycle(n))
-        out[f"analyze cycle {n}"] = cli.cmd_analyze(path)
-        out[f"forest-verify cycle {n}"] = cli.cmd_forest_verify(path, cap=n)
+        out[f"analyze cycle {n}"] = _report("analyze", path)
+        out[f"forest-verify cycle {n}"] = _report("forest-verify", path, "--cap", str(n))
         if n <= 16:  # the oracle on a generated chain takes seconds at n = 64
             path = str(tmp_path / f"ergodic_{n}.json")
-            out[f"forest-verify ergodic {n}"] = cli.cmd_forest_verify(path, cap=n)
+            out[f"forest-verify ergodic {n}"] = _report("forest-verify", path, "--cap", str(n))
     return out
 
 
@@ -424,7 +431,7 @@ def test_analyze_reports_match_reference_json(tmp_path, kind, n):
     for seed in (0, 1):
         path = _write(tmp_path, f"{kind}_{n}_{seed}.json",
                       chain.generate_random_chain(n, kind, seed).P)
-        report = cli.cmd_analyze(path)
+        report = _report("analyze", path)
         assert cli.dumps_json(report) == ref_dumps_json(report), seed
 
 
@@ -441,13 +448,13 @@ def _arrays(x):
 
 def test_report_arrays_are_read_only(tmp_path):
     path = _write(tmp_path, "ds.json", chain.generate_random_chain(4, "doubly_stochastic", 0).P)
-    sim = simulate.SimConfig(seed=1, replicas=200, max_steps_per_replica=10_000)
+    sim = ("--pairs", "1,2", "--seed", "1", "--replicas", "200", "--max-steps", "10000")
     reports = {
-        "analyze": cli.cmd_analyze(path, sim_cfg=sim, pairs_spec="1,2"),
-        "sumrule": cli.cmd_sumrule(path, 5, 1),
-        "forest-verify": cli.cmd_forest_verify(path),
-        "simulate": cli.cmd_simulate(path, "1,2", sim),
-        "counterexample": cli.cmd_counterexample(),
+        "analyze": _report("analyze", path, "--simulate", *sim),
+        "sumrule": _report("sumrule", path, "--trials", "5", "--seed", "1"),
+        "forest-verify": _report("forest-verify", path),
+        "simulate": _report("simulate", path, *sim),
+        "counterexample": _report("counterexample"),
     }
     for name, report in reports.items():
         for a in _arrays(report):

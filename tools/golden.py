@@ -15,7 +15,8 @@ exception that escapes it; library cases record the result or the exception
 of a direct ``linalg.lu_solve`` call.
 
 The command lines cover every subcommand in human and JSON output, input
-and usage errors, non-ergodic and one-state chains, slow-mixing chains
+and usage errors, which of two errors a command line reports first,
+non-ergodic and one-state chains, slow-mixing chains
 whose checks fail on rounding, Monte Carlo legs on
 n = 16 chains, legs stopped by ``--max-steps``, replica counts near and past
 the int64 range, and every ``--help``.
@@ -141,6 +142,17 @@ def command_lines() -> list[tuple[list[str], dict]]:
     add("generate", "1", "ergodic", "g1.json")
     add("generate", "65", "ergodic", "g65.json")
     add("generate", "3", "ergodic", "missing_dir/x.json")  # unwritable output
+    # which error wins: Monte Carlo settings and MR_SEED are read before the
+    # chain file, and sumrule's --trials before MR_SEED
+    both("analyze", "missing.csv", "--simulate", "--replicas", "99")
+    both("simulate", "missing.csv", "--replicas", "99")
+    both("analyze", "missing.csv", "--simulate", "--pairs", "1,9")
+    for fmt in FORMATS:
+        add("sumrule", "missing.csv", "--trials", "-1", "--format", fmt, env={"MR_SEED": "x"})
+        add("sumrule", "missing.csv", "--format", fmt, env={"MR_SEED": "x"})
+        add("simulate", "missing.csv", "--format", fmt, env={"MR_SEED": "x"})
+        add("analyze", "missing.csv", "--simulate", "--format", fmt, env={"MR_SEED": "x"})
+    both("analyze", "ce.csv", "--pairs", "1,9")  # --pairs without --simulate is ignored
 
     # input errors
     for name in ("missing.csv", "bad_json.json", "bad_states.json", "no_p.json",
